@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,6 @@ from .fermion import (
     wedge_power_norm,
 )
 from .statefile import StateFile, StateParseError, dump_state_text, load_state_file
-from .triple import rank_margins
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -249,19 +247,13 @@ def _cmd_classify(args) -> int:
         files = sorted(directory.glob("*.json"))
         if not files:
             raise _Failure(f"no .json files in {directory}", EXIT_SHAPE)
-
-        def work(path):
-            try:
-                return path, _classify_one(path, args, tol)
-            except _Failure as exc:
-                return path, (exc.code, [f"error: {exc}"], {"error": str(exc)})
-
-        with ThreadPoolExecutor() as pool:
-            results = dict(pool.map(work, files))
         worst = EXIT_OK
         records = []
         for path in files:
-            code, lines, payload = results[path]
+            try:
+                code, lines, payload = _classify_one(path, args, tol)
+            except _Failure as exc:
+                code, lines, payload = exc.code, [f"error: {exc}"], {"error": str(exc)}
             worst = max(worst, code)
             records.append({"file": path.name, **payload})
             if not args.json:

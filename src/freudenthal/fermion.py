@@ -303,32 +303,16 @@ def _padded_vector(P: FermionState) -> np.ndarray:
     return vec
 
 
-def _relation_values(P: FermionState, workers: int = 1) -> tuple[list, np.ndarray]:
-    """All relation values at once via the cached tables.  Rows are
-    independent, so with workers > 1 they are evaluated in chunks on a
-    thread pool and concatenated back in order."""
+def _relation_values(P: FermionState) -> tuple[list, np.ndarray]:
+    """All relation values at once via the cached tables."""
     pairs, first, second, sign = _scan_tables(P.k, P.n)
     vec = _padded_vector(P)
-
-    def eval_rows(lo: int, hi: int) -> np.ndarray:
-        return (sign[lo:hi] * vec[first[lo:hi]] * vec[second[lo:hi]]).sum(axis=1)
-
-    if workers <= 1 or len(pairs) < 2 * workers:
-        return pairs, eval_rows(0, len(pairs))
-    from concurrent.futures import ThreadPoolExecutor
-
-    step = -(-len(pairs) // workers)
-    bounds = [(lo, min(lo + step, len(pairs))) for lo in range(0, len(pairs), step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(lambda be: eval_rows(*be), bounds))
-    return pairs, np.concatenate(chunks)
+    return pairs, (sign * vec[first] * vec[second]).sum(axis=1)
 
 
-def pluecker_scan(
-    P: FermionState, workers: int = 1
-) -> tuple[float, tuple[Key, Key] | None]:
+def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
     """Largest |relation| over all index pairs and one maximizing pair."""
-    pairs, values = _relation_values(P, workers)
+    pairs, values = _relation_values(P)
     if not pairs:
         return 0.0, None
     magnitudes = np.abs(values)

@@ -202,63 +202,97 @@ def basis(kind: AlgebraKind) -> tuple[JordanElement, ...]:
 
 
 # -- raw coefficient-vector kernels (shared with the triple-system layer) ---
+# Every kernel takes a (..., d) stack of coefficient vectors and maps over
+# the leading axes.
 
 
-def _det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinant of row-major flattened 2x2 matrices."""
+    return m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2]
 
 
-def _det3(m: np.ndarray) -> complex:
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinant of row-major flattened 3x3 matrices."""
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m[..., 0] * (m[..., 4] * m[..., 8] - m[..., 5] * m[..., 7])
+        - m[..., 1] * (m[..., 3] * m[..., 8] - m[..., 5] * m[..., 6])
+        + m[..., 2] * (m[..., 3] * m[..., 7] - m[..., 4] * m[..., 6])
     )
 
 
-def _norm_vec(kind: AlgebraKind, v: np.ndarray) -> complex:
+def _norm_vec(kind: AlgebraKind, v: np.ndarray) -> np.ndarray:
     if kind is AlgebraKind.J1:
-        return v[0] ** 3
+        return v[..., 0] ** 3
     if kind is AlgebraKind.J11:
-        return v[0] * v[1] ** 2
+        return v[..., 0] * v[..., 1] ** 2
     if kind is AlgebraKind.J111:
-        return v[0] * v[1] * v[2]
+        return v[..., 0] * v[..., 1] * v[..., 2]
     if kind is AlgebraKind.J12:
-        return v[0] * _det2(v[1:].reshape(2, 2))
-    return _det3(v.reshape(3, 3))
+        return v[..., 0] * _det2(v[..., 1:])
+    return _det3(v)
+
+
+def _product_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, sign) arrays of shape (d, 2) from per-component lists of
+    at most two signed coordinate products (i, j, sign)."""
+    padded = [row + [(0, 0, 0)] * (2 - len(row)) for row in rows]
+    left, right, sign = np.array(padded).transpose(2, 0, 1)
+    return left, right, sign.astype(float)
+
+
+# Component k of x# is sum_t sign[k,t] x[left[k,t]] x[right[k,t]]: the
+# cube's square, (b^2, ab), (bc, ac, ab), (det m, a adj m) and the 3x3
+# adjugate, whose entry (i, j) is the cyclic cofactor of m[j, i].
+_SHARP_TERMS = {
+    AlgebraKind.J1: _product_table([[(0, 0, 1)]]),
+    AlgebraKind.J11: _product_table([[(1, 1, 1)], [(0, 1, 1)]]),
+    AlgebraKind.J111: _product_table([[(1, 2, 1)], [(0, 2, 1)], [(0, 1, 1)]]),
+    AlgebraKind.J12: _product_table(
+        [[(1, 4, 1), (2, 3, -1)], [(0, 4, 1)], [(0, 2, -1)], [(0, 3, -1)], [(0, 1, 1)]]
+    ),
+    AlgebraKind.J3: _product_table(
+        [
+            [
+                (3 * ((j + 1) % 3) + (i + 1) % 3, 3 * ((j + 2) % 3) + (i + 2) % 3, 1),
+                (3 * ((j + 1) % 3) + (i + 2) % 3, 3 * ((j + 2) % 3) + (i + 1) % 3, -1),
+            ]
+            for i in range(3)
+            for j in range(3)
+        ]
+    ),
+}
+
+
+def _cross_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product u x v = [(u+v)# - u# - v#] / 2, formed term by term so
+    that arguments of very different size lose no accuracy."""
+    left, right, sign = _SHARP_TERMS[kind]
+    return 0.5 * np.sum(
+        sign * (u[..., left] * v[..., right] + v[..., left] * u[..., right]), axis=-1
+    )
 
 
 def _sharp_vec(kind: AlgebraKind, v: np.ndarray) -> np.ndarray:
-    if kind is AlgebraKind.J1:
-        return np.array([v[0] ** 2])
-    if kind is AlgebraKind.J11:
-        return np.array([v[1] ** 2, v[0] * v[1]])
-    if kind is AlgebraKind.J111:
-        return np.array([v[1] * v[2], v[0] * v[2], v[0] * v[1]])
-    if kind is AlgebraKind.J12:
-        a, m = v[0], v[1:].reshape(2, 2)
-        out = np.empty(5, dtype=complex)
-        out[0] = _det2(m)
-        out[1:] = (a * np.trace(m) * np.eye(2) - a * m).reshape(-1)
-        return out
-    m = v.reshape(3, 3)
-    t = np.trace(m)
-    m2 = m @ m
-    adj = m2 - t * m + 0.5 * (t * t - np.trace(m2)) * np.eye(3)
-    return adj.reshape(-1)
+    left, right, sign = _SHARP_TERMS[kind]
+    return np.sum(sign * v[..., left] * v[..., right], axis=-1)
 
 
-def _trace_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> complex:
+# coordinate permutation taking a flattened matrix block to its transpose
+_TRANSPOSE = {
+    AlgebraKind.J12: [0, 1, 3, 2, 4],
+    AlgebraKind.J3: [0, 3, 6, 1, 4, 7, 2, 5, 8],
+}
+
+
+def _trace_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if kind is AlgebraKind.J1:
-        return 3.0 * u[0] * v[0]
+        return 3.0 * u[..., 0] * v[..., 0]
     if kind is AlgebraKind.J11:
         # weight 2 on the doubled coordinate, matching Tr on diag(a, b, b)
-        return u[0] * v[0] + 2.0 * u[1] * v[1]
+        return u[..., 0] * v[..., 0] + 2.0 * u[..., 1] * v[..., 1]
     if kind is AlgebraKind.J111:
-        return u @ v
-    if kind is AlgebraKind.J12:
-        return u[0] * v[0] + u[1:].reshape(2, 2).T.reshape(-1) @ v[1:]
-    return u.reshape(3, 3).T.reshape(-1) @ v  # Tr(UV)
+        return np.sum(u * v, axis=-1)
+    return np.sum(u[..., _TRANSPOSE[kind]] * v, axis=-1)  # [ab +] Tr(UV)
 
 
 # -- public structure maps ---------------------------------------------------

@@ -24,6 +24,7 @@ losslessly (floats are printed shortest-round-trip).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -90,24 +91,38 @@ def _entry_line(text: str, index: int) -> Optional[int]:
     return text.count("\n", 0, position) + 1
 
 
-def _parse_amplitude(entry, index: int, text: str) -> complex:
-    line = _entry_line(text, index)
+@contextlib.contextmanager
+def _located(text: str, index: int):
+    """Give a StateParseError raised while reading amplitude ``index`` that
+    entry's line.  The text is scanned only on this error path, which keeps
+    parsing linear in the number of amplitudes."""
+    try:
+        yield
+    except StateParseError as exc:
+        exc.line = _entry_line(text, index)
+        raise
+
+
+def _parse_amplitude(entry, index: int) -> complex:
     if not isinstance(entry, dict):
-        raise StateParseError(f"amplitude #{index} is not an object", line)
+        raise StateParseError(f"amplitude #{index} is not an object")
     for part in ("re", "im"):
         if part not in entry:
-            raise StateParseError(f"amplitude #{index} lacks '{part}'", line)
+            raise StateParseError(f"amplitude #{index} lacks '{part}'")
         if not isinstance(entry[part], (int, float)) or isinstance(entry[part], bool):
-            raise StateParseError(f"amplitude #{index} has non-numeric '{part}'", line)
-    value = complex(entry["re"], entry["im"])
+            raise StateParseError(f"amplitude #{index} has non-numeric '{part}'")
+    try:
+        value = complex(entry["re"], entry["im"])
+    except OverflowError:  # an integer past the float range
+        raise StateParseError(f"amplitude #{index} is not finite") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise StateParseError(f"amplitude #{index} is not finite", line)
+        raise StateParseError(f"amplitude #{index} is not finite")
     return value
 
 
-def _parse_mode(item, n: int, index: int, line: Optional[int]) -> int:
+def _parse_mode(item, n: int, index: int) -> int:
     if isinstance(item, bool):
-        raise StateParseError(f"amplitude #{index}: boolean is not a mode", line)
+        raise StateParseError(f"amplitude #{index}: boolean is not a mode")
     if isinstance(item, int):
         mode = item
     elif isinstance(item, str) and item.endswith("b"):
@@ -115,36 +130,34 @@ def _parse_mode(item, n: int, index: int, line: Optional[int]) -> int:
             raise StateParseError(
                 f"amplitude #{index}: barred alias {item!r} needs an even "
                 f"number of modes, got {n}",
-                line,
             )
         try:
             base = int(item[:-1])
         except ValueError:
             raise StateParseError(
-                f"amplitude #{index}: malformed barred alias {item!r}", line
+                f"amplitude #{index}: malformed barred alias {item!r}"
             ) from None
         if not 1 <= base <= n // 2:
             raise StateParseError(
-                f"amplitude #{index}: barred alias {item!r} out of range", line
+                f"amplitude #{index}: barred alias {item!r} out of range"
             )
         mode = base + n // 2
     else:
         raise StateParseError(
             f"amplitude #{index}: mode must be an integer or barred alias, "
             f"got {item!r}",
-            line,
         )
     if not 1 <= mode <= n:
         raise StateParseError(
-            f"amplitude #{index}: mode {mode} outside 1..{n}", line
+            f"amplitude #{index}: mode {mode} outside 1..{n}"
         )
     return mode
 
 
-def _fold_modes(modes, index: int, line: Optional[int]):
+def _fold_modes(modes, index: int):
     sign, ordered = sort_sign(modes)
     if sign == 0:
-        raise StateParseError(f"amplitude #{index}: repeated mode in key", line)
+        raise StateParseError(f"amplitude #{index}: repeated mode in key")
     return sign, ordered
 
 
@@ -162,20 +175,21 @@ def _parse_fermion(shape, amplitudes, text: str) -> FermionState:
         raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
     amp: dict = {}
     for index, entry in enumerate(amplitudes):
-        value = _parse_amplitude(entry, index, text)
-        line = _entry_line(text, index)
-        key = entry.get("key")
-        if not isinstance(key, list) or len(key) != k:
-            raise StateParseError(
-                f"amplitude #{index}: key must list {k} modes", line
-            )
-        modes = [_parse_mode(item, n, index, line) for item in key]
-        sign, ordered = _fold_modes(modes, index, line)
-        if ordered in amp:
-            raise StateParseError(
-                f"amplitude #{index}: duplicate key {list(ordered)}", line
-            )
-        amp[ordered] = sign * value
+        with _located(text, index):
+            value = _parse_amplitude(entry, index)
+            key = entry.get("key")
+            if not isinstance(key, list) or len(key) != k:
+                raise StateParseError(
+                    f"amplitude #{index}: key must list {k} modes"
+                )
+            modes = [_parse_mode(item, n, index) for item in key]
+            sign, ordered = _fold_modes(modes, index)
+            if ordered in amp:
+                raise StateParseError(
+                    f"amplitude #{index}: duplicate key {list(ordered)}"
+                )
+            # negation, not a product with +-1, keeps signed zeros
+            amp[ordered] = value if sign > 0 else -value
     return FermionState(k, n, amp)
 
 
@@ -192,104 +206,98 @@ def _parse_multi(shape, amplitudes, text: str) -> MultiState:
     sys_shape = SystemShape(tuple((k, n) for k, n in shape))
     amp: dict = {}
     for index, entry in enumerate(amplitudes):
-        value = _parse_amplitude(entry, index, text)
-        line = _entry_line(text, index)
-        key = entry.get("key")
-        if not isinstance(key, list) or len(key) != sys_shape.num_species:
-            raise StateParseError(
-                f"amplitude #{index}: key must list one mode list per "
-                f"species ({sys_shape.num_species})",
-                line,
-            )
-        folded = []
-        total_sign = 1
-        for species, part in enumerate(key):
-            k_i, n_i = sys_shape.species[species]
-            if not isinstance(part, list) or len(part) != k_i:
+        with _located(text, index):
+            value = _parse_amplitude(entry, index)
+            key = entry.get("key")
+            if not isinstance(key, list) or len(key) != sys_shape.num_species:
                 raise StateParseError(
-                    f"amplitude #{index}: species {species + 1} needs "
-                    f"{k_i} mode(s)",
-                    line,
+                    f"amplitude #{index}: key must list one mode list per "
+                    f"species ({sys_shape.num_species})",
                 )
-            modes = [_parse_mode(item, n_i, index, line) for item in part]
-            sign, ordered = _fold_modes(modes, index, line)
-            total_sign *= sign
-            folded.append(ordered)
-        multi_key = tuple(folded)
-        if multi_key in amp:
-            raise StateParseError(
-                f"amplitude #{index}: duplicate key "
-                f"{[list(part) for part in multi_key]}",
-                line,
-            )
-        amp[multi_key] = total_sign * value
+            folded = []
+            total_sign = 1
+            for species, part in enumerate(key):
+                k_i, n_i = sys_shape.species[species]
+                if not isinstance(part, list) or len(part) != k_i:
+                    raise StateParseError(
+                        f"amplitude #{index}: species {species + 1} needs "
+                        f"{k_i} mode(s)",
+                    )
+                modes = [_parse_mode(item, n_i, index) for item in part]
+                sign, ordered = _fold_modes(modes, index)
+                total_sign *= sign
+                folded.append(ordered)
+            multi_key = tuple(folded)
+            if multi_key in amp:
+                raise StateParseError(
+                    f"amplitude #{index}: duplicate key "
+                    f"{[list(part) for part in multi_key]}",
+                )
+            amp[multi_key] = value if total_sign > 0 else -value
     return MultiState(sys_shape, amp)
 
 
 def _parse_dense(system: str, shape, amplitudes, text: str) -> np.ndarray:
     expected = _DENSE_SHAPES[system]
-    if shape is not None and tuple(shape) != expected:
+    if shape is not None and (not isinstance(shape, list) or tuple(shape) != expected):
         raise ShapeError(
             f"system {system!r} has fixed shape {list(expected)}, got {shape!r}"
         )
     arr = np.zeros(expected, dtype=complex)
     seen: set = set()
     for index, entry in enumerate(amplitudes):
-        value = _parse_amplitude(entry, index, text)
-        line = _entry_line(text, index)
-        key = entry.get("key")
-        if not isinstance(key, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in key
-        ):
-            raise StateParseError(
-                f"amplitude #{index}: key must be a list of integers", line
-            )
-        if system == "qubit_fermion4":
-            if len(key) != 3:
+        with _located(text, index):
+            value = _parse_amplitude(entry, index)
+            key = entry.get("key")
+            if not isinstance(key, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in key
+            ):
                 raise StateParseError(
-                    f"amplitude #{index}: key must be [bit, mode, mode]", line
+                    f"amplitude #{index}: key must be a list of integers"
                 )
-            bit, a, b = key
-            if bit not in (0, 1):
+            if system == "qubit_fermion4":
+                if len(key) != 3:
+                    raise StateParseError(
+                        f"amplitude #{index}: key must be [bit, mode, mode]"
+                    )
+                bit, a, b = key
+                if bit not in (0, 1):
+                    raise StateParseError(
+                        f"amplitude #{index}: qubit bit must be 0 or 1"
+                    )
+                if not (0 <= a <= 3 and 0 <= b <= 3):
+                    raise StateParseError(
+                        f"amplitude #{index}: fermionic modes must lie in 0..3"
+                    )
+                if a == b:
+                    raise StateParseError(
+                        f"amplitude #{index}: repeated mode in key"
+                    )
+                if a > b:
+                    a, b, value = b, a, -value
+                slot = (bit, _PAIR_INDEX_4[(a, b)])
+                if slot in seen:
+                    raise StateParseError(
+                        f"amplitude #{index}: duplicate key {key}"
+                    )
+                seen.add(slot)
+                arr[slot] = value
+                continue
+            if len(key) != len(expected):
                 raise StateParseError(
-                    f"amplitude #{index}: qubit bit must be 0 or 1", line
+                    f"amplitude #{index}: key must have {len(expected)} "
+                    f"entries for {system}",
                 )
-            if not (0 <= a <= 3 and 0 <= b <= 3):
+            if not all(0 <= v < bound for v, bound in zip(key, expected)):
                 raise StateParseError(
-                    f"amplitude #{index}: fermionic modes must lie in 0..3", line
+                    f"amplitude #{index}: key {key} out of range for "
+                    f"shape {list(expected)}",
                 )
-            if a == b:
-                raise StateParseError(
-                    f"amplitude #{index}: repeated mode in key", line
-                )
-            sign = 1.0
-            if a > b:
-                a, b, sign = b, a, -1.0
-            slot = (bit, _PAIR_INDEX_4[(a, b)])
+            slot = tuple(key)
             if slot in seen:
-                raise StateParseError(
-                    f"amplitude #{index}: duplicate key {key}", line
-                )
+                raise StateParseError(f"amplitude #{index}: duplicate key {key}")
             seen.add(slot)
-            arr[slot] = sign * value
-            continue
-        if len(key) != len(expected):
-            raise StateParseError(
-                f"amplitude #{index}: key must have {len(expected)} "
-                f"entries for {system}",
-                line,
-            )
-        if not all(0 <= v < bound for v, bound in zip(key, expected)):
-            raise StateParseError(
-                f"amplitude #{index}: key {key} out of range for "
-                f"shape {list(expected)}",
-                line,
-            )
-        slot = tuple(key)
-        if slot in seen:
-            raise StateParseError(f"amplitude #{index}: duplicate key {key}", line)
-        seen.add(slot)
-        arr[slot] = value
+            arr[slot] = value
     return arr
 
 

@@ -10,15 +10,19 @@ a quartic form
     q(x) = 2((A,B) - alpha beta)^2 - 8(A#, B#) + 8 alpha N(A) + 8 beta N(B),
 
 and a triple product T defined implicitly by {T(x,y,z), w} = q(x,y,z,w),
-where q(x,y,z,w) is the full polarization of q.  A second normalization of
-the quartic, quartic_tangle = 2 q, is the one whose absolute value acts as
-the tripartite entanglement measure (1 on the canonical GHZ vector).
+where q(x,y,z,w) is the full polarization of q.  The cubic T(x,x,x) has a
+closed form in the Jordan operations (sharp, norm, trace form and the cross
+product A x B = [(A+B)# - A# - B#] / 2), evaluated on stacks of coordinate
+vectors; the trilinear T(x,y,z) is its polarization.  A second
+normalization of the quartic, quartic_tangle = 2 q, is the one whose
+absolute value acts as the tripartite entanglement measure (1 on the
+canonical GHZ vector).
 
 Vectors stratify into ranks 0..4 by the vanishing pattern of q, T(x,x,x)
-and the linear map y -> 3 T(x,x,y) + {x,y} x; the rank is the SLOCC class.
+and the linear map y -> 3 T(x,x,y) - {x,y} x; the rank is the SLOCC class.
 
-Everything here is immutable and pure; per-algebra structure (basis, skew
-Gram matrix, polarized quartic tensor) is cached per process.
+Everything here is immutable and pure; only the coordinate basis of each
+system is cached per process.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .jordan import (
     AlgebraKind,
     JordanElement,
     KindMismatch,
+    _cross_vec,
     _norm_vec,
     _sharp_vec,
     _trace_vec,
@@ -165,21 +170,31 @@ def triple_basis(kind: AlgebraKind) -> tuple[FreudenthalVector, ...]:
 # -- the three defining forms -------------------------------------------------
 
 
-def skew_form(x: FreudenthalVector, y: FreudenthalVector) -> complex:
-    """Nondegenerate symplectic form {x, y}."""
-    x._require(y)
+def _split(kind: AlgebraKind, vec: np.ndarray):
+    """(alpha, beta, A, B) views of a (..., 2 + 2d) stack of coordinates."""
+    d = kind.dimension
+    return vec[..., 0], vec[..., 1], vec[..., 2 : 2 + d], vec[..., 2 + d :]
+
+
+def _skew_vec(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    xalpha, xbeta, xa, xb = _split(kind, x)
+    yalpha, ybeta, ya, yb = _split(kind, y)
     return (
-        x.alpha * y.beta
-        - x.beta * y.alpha
-        + _trace_vec(x.kind, x.a.coeffs, y.b.coeffs)
-        - _trace_vec(x.kind, x.b.coeffs, y.a.coeffs)
+        xalpha * ybeta
+        - xbeta * yalpha
+        + _trace_vec(kind, xa, yb)
+        - _trace_vec(kind, xb, ya)
     )
 
 
+def skew_form(x: FreudenthalVector, y: FreudenthalVector) -> complex:
+    """Nondegenerate symplectic form {x, y}."""
+    x._require(y)
+    return _skew_vec(x.kind, x.coefficients(), y.coefficients())
+
+
 def _quartic_from_vec(kind: AlgebraKind, vec: np.ndarray) -> complex:
-    d = kind.dimension
-    alpha, beta = vec[0], vec[1]
-    a, b = vec[2 : 2 + d], vec[2 + d :]
+    alpha, beta, a, b = _split(kind, vec)
     t = _trace_vec(kind, a, b) - alpha * beta
     return (
         2.0 * t * t
@@ -195,26 +210,15 @@ def quartic_form(x: FreudenthalVector) -> complex:
 
 
 def quartic_tangle(x: FreudenthalVector) -> complex:
-    """Quartic in the measure normalization,
+    """Quartic in the measure normalization 2 q(x),
 
         4([(A,B) - alpha beta]^2 - 4(A#, B#) + 4 alpha N(A) + 4 beta N(B)),
 
     whose absolute value is the tripartite tangle (1 on canonical GHZ).
-    Identically equal to 2 * quartic_form(x); both normalizations are kept
-    because classification thresholds use q while reports use this one.
+    Both normalizations are kept because classification thresholds use q
+    while reports use this one.
     """
-    vec = x.coefficients()
-    kind = x.kind
-    d = kind.dimension
-    alpha, beta = vec[0], vec[1]
-    a, b = vec[2 : 2 + d], vec[2 + d :]
-    t = _trace_vec(kind, a, b) - alpha * beta
-    return 4.0 * (
-        t * t
-        - 4.0 * _trace_vec(kind, _sharp_vec(kind, a), _sharp_vec(kind, b))
-        + 4.0 * alpha * _norm_vec(kind, a)
-        + 4.0 * beta * _norm_vec(kind, b)
-    )
+    return 2.0 * quartic_form(x)
 
 
 _SLOT_SUBSETS = [
@@ -246,89 +250,51 @@ def quartic_form_linearized(
     return total / 24.0
 
 
-# -- cached per-algebra structure ---------------------------------------------
+# -- the cubic T(x) = T(x,x,x) and its polarizations ---------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _structure(kind: AlgebraKind):
-    """(skew Gram S, inv(S).T, polarized quartic tensor Q) over the basis.
+def _cubic_vec(kind: AlgebraKind, vec: np.ndarray) -> np.ndarray:
+    """T(x,x,x) on a (..., 2 + 2d) stack of coordinates, in closed form:
 
-    Q[i,j,k,l] = q(b_i, b_j, b_k, b_l) is real and fully symmetric; it
-    memoizes the polarization so that triple products and rank tests reduce
-    to tensor contractions.
+        T(x) = (-t alpha + 2N(B),  t beta - 2N(A),
+                t A - 4 B x A# + 2 beta B#,  -t B + 4 A x B# - 2 alpha A#)
+
+    with t = (A,B) - alpha beta.  It is the gradient of q written through
+    the skew form, {T(x), w} = q(x,x,x,w) for all w.
     """
-    bas = triple_basis(kind)
-    dim = len(bas)
-    gram = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            val = skew_form(bas[i], bas[j])
-            assert abs(val.imag) < 1e-15
-            gram[i, j] = val.real
-    gram_inv_t = np.linalg.inv(gram).T
-
-    # q evaluated on every sum of up to four basis vectors (multisets)
-    qval: dict[tuple[int, ...], complex] = {}
-    for size in range(1, 5):
-        for ms in itertools.combinations_with_replacement(range(dim), size):
-            vec = np.zeros(dim, dtype=complex)
-            for i in ms:
-                vec[i] += 1.0
-            qval[ms] = _quartic_from_vec(kind, vec)
-
-    tensor = np.zeros((dim, dim, dim, dim))
-    for ms in itertools.combinations_with_replacement(range(dim), 4):
-        total = 0.0 + 0.0j
-        for subset in _SLOT_SUBSETS:
-            key = tuple(sorted(ms[i] for i in subset))
-            total += (-1) ** (4 - len(subset)) * qval[key]
-        val = total.real / 24.0
-        assert abs(total.imag) < 1e-12
-        for perm in set(itertools.permutations(ms)):
-            tensor[perm] = val
-    return gram, gram_inv_t, tensor
-
-
-def _tensor_contract3(tensor: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v_i = sum_jkl Q[i,j,k,l] y_j z_k w_l via reshaped matmuls."""
-    dim = tensor.shape[0]
-    t = tensor.reshape(dim**3, dim) @ w
-    t = t.reshape(dim**2, dim) @ z
-    return t.reshape(dim, dim) @ y
+    d = kind.dimension
+    scalars = vec[..., :2]  # (alpha, beta)
+    pair = vec[..., 2:].reshape(*vec.shape[:-1], 2, d)  # (A, B)
+    t = _trace_vec(kind, pair[..., 0, :], pair[..., 1, :]) - vec[..., 0] * vec[..., 1]
+    sharps = _sharp_vec(kind, pair)  # (A#, B#)
+    crosses = _cross_vec(kind, pair[..., ::-1, :], sharps)  # (B x A#, A x B#)
+    # The beta and B slots repeat the alpha and A brackets with (alpha, A)
+    # and (beta, B) swapped, negated.
+    sign = np.array([1.0, -1.0])
+    norms = _trace_vec(kind, pair, sharps) / 3.0  # (N(A), N(B)): (x, x#) = 3 N(x)
+    head = sign * (2.0 * norms[..., ::-1] - t[..., None] * scalars)
+    tail = sign[:, None] * (
+        t[..., None, None] * pair
+        - 4.0 * crosses
+        + 2.0 * scalars[..., ::-1, None] * sharps[..., ::-1, :]
+    )
+    return np.concatenate((head, tail.reshape(*vec.shape[:-1], 2 * d)), axis=-1)
 
 
 def triple_product(
     x: FreudenthalVector, y: FreudenthalVector, z: FreudenthalVector
 ) -> FreudenthalVector:
     """T(x,y,z), the unique vector with {T(x,y,z), w} = q(x,y,z,w) for all w,
-    solved over the coordinate basis through the inverse skew Gram matrix."""
+    obtained by polarizing the cubic T(x,x,x) over the seven nonempty sums
+    of x, y and z."""
     x._require(y)
     x._require(z)
-    _, gram_inv_t, tensor = _structure(x.kind)
-    rhs = _tensor_contract3(
-        tensor, x.coefficients(), y.coefficients(), z.coefficients()
-    )
-    return fvector(x.kind, gram_inv_t @ rhs)
+    u, v, w = x.coefficients(), y.coefficients(), z.coefficients()
+    t = _cubic_vec(x.kind, np.stack((u + v + w, u + v, u + w, v + w, u, v, w)))
+    return fvector(x.kind, (t[0] - t[1] - t[2] - t[3] + t[4] + t[5] + t[6]) / 6.0)
 
 
 # -- rank stratification ------------------------------------------------------
-
-
-def _rank_quantities(x: FreudenthalVector) -> tuple[float, float, float]:
-    """(|q(x)|, ||T(x,x,x)||, max_j ||3 T(x,x,b_j) + {x,b_j} x||)."""
-    gram, gram_inv_t, tensor = _structure(x.kind)
-    vec = x.coefficients()
-    dim = vec.shape[0]
-    t2 = (tensor.reshape(dim * dim, dim * dim) @ np.outer(vec, vec).reshape(-1)).reshape(dim, dim)
-    # t2[i, j] = q(b_i, b_j, x, x); columns give T(x,x,b_j) after the solve
-    q_abs = abs(vec @ (t2 @ vec))
-    t_xxx = gram_inv_t @ (t2 @ vec)
-    # On vectors of rank <= 1 the triple product degenerates to
-    # 3 T(x,x,y) = {x,y} x for every y, so the residual below vanishes
-    # exactly there and detects rank 2.
-    cols = 3.0 * (gram_inv_t @ t2) - np.outer(vec, vec @ gram)
-    col_norms = np.linalg.norm(cols, axis=0)
-    return q_abs, float(np.linalg.norm(t_xxx)), float(np.max(col_norms))
 
 
 def rank(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -337,21 +303,10 @@ def rank(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL) -> int:
     rank 4: q(x) != 0;  rank 3: q = 0 but T(x,x,x) != 0;  rank 2: both vanish
     but 3 T(x,x,y) - {x,y} x != 0 for some y (linear in y, so a basis scan
     suffices);  rank 1: all vanish but x != 0;  rank 0: x = 0.  Thresholds
-    scale with ||x||^degree so the verdict is invariant under rescaling.
+    scale with ||x||^degree so the verdict is invariant under rescaling;
+    rank_margins defines them.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    nx = x.norm()
-    if nx == 0.0:
-        return 0
-    q_abs, t3_norm, pencil_norm = _rank_quantities(x)
-    if q_abs > tol * nx**4:
-        return 4
-    if t3_norm > tol * nx**3:
-        return 3
-    if pencil_norm > tol * nx**2:
-        return 2
-    return 1
+    return rank_margins(x, tol)[0]
 
 
 def rank_margins(
@@ -359,22 +314,42 @@ def rank_margins(
 ) -> tuple[int, list[float]]:
     """Rank plus the ratios quantity/threshold for each test actually made.
 
-    Ratios within a factor of 10 of 1 indicate a numerically degenerate
-    verdict; callers may escalate those to warnings.
+    The tests run in order and stop at the first ratio above 1:
+
+    1. |q(x)| against tol ||x||^4 (rank 4);
+    2. ||T(x,x,x)|| against tol ||x||^3 (rank 3);
+    3. max_j ||3 T(x,x,e_j) - {x,e_j} x|| over the coordinate basis e_j,
+       against tol ||x||^2 (rank 2; on vectors of rank <= 1 the map
+       y -> 3 T(x,x,y) - {x,y} x vanishes identically).
+
+    Each quantity is homogeneous of the threshold's degree, so it is
+    evaluated on x / ||x|| against tol itself.  |q| is |{T(x), x}|, and the
+    basis columns come from 3 T(x,x,y) = [T(x+y) - T(x-y) - 2 T(y)] / 2,
+    exact for a cubic, in one stacked evaluation of T.  Ratios within a
+    factor of 10 of 1 indicate a numerically degenerate verdict; callers
+    may escalate those to warnings.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     nx = x.norm()
     if nx == 0.0:
         return 0, []
-    q_abs, t3_norm, pencil_norm = _rank_quantities(x)
-    ratios = [q_abs / (tol * nx**4)]
-    if ratios[-1] > 1.0:
-        return 4, ratios
-    ratios.append(t3_norm / (tol * nx**3))
-    if ratios[-1] > 1.0:
-        return 3, ratios
-    ratios.append(pencil_norm / (tol * nx**2))
-    if ratios[-1] > 1.0:
-        return 2, ratios
+    kind = x.kind
+    unit = x.coefficients() / nx
+    eye = np.eye(unit.shape[0])
+    cubic = _cubic_vec(kind, np.vstack((unit, unit + eye, unit - eye, eye)))
+    t_x = cubic[0]
+    t_plus, t_minus, t_e = cubic[1:].reshape(3, *eye.shape)
+    skew_row = _skew_vec(kind, unit, eye)  # {x, e_j}
+    pencil = 0.5 * (t_plus - t_minus) - t_e - np.outer(skew_row, unit)
+    quantities = (
+        abs(t_x @ skew_row),  # |{x, T(x)}|
+        np.linalg.norm(t_x),
+        np.max(np.linalg.norm(pencil, axis=1)),
+    )
+    ratios: list[float] = []
+    for r, quantity in zip((4, 3, 2), quantities):
+        ratios.append(float(quantity) / tol)
+        if ratios[-1] > 1.0:
+            return r, ratios
     return 1, ratios

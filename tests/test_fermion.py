@@ -176,11 +176,6 @@ class TestPluecker:
         assert mags == sorted(mags, reverse=True)
         assert mags[0] == pytest.approx(0.5)
 
-    def test_parallel_scan_matches(self):
-        best1, _ = pluecker_scan(w6(), workers=1)
-        best4, _ = pluecker_scan(w6(), workers=4)
-        assert best1 == best4
-
     def test_zero_state_rejected(self):
         Z = FermionState(3, 6, {})
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from freudenthal.classify import random_state
 from freudenthal.cli import main
 from freudenthal.embed import MultiState, SystemShape
 from freudenthal.fermion import FermionState, ShapeError
@@ -256,6 +257,35 @@ class TestCliClassify:
         names = [l.split(":")[0] for l in file_lines]
         assert names == sorted(names)
         assert len(names) == 24
+
+    def test_batch_flags_match_single_file_runs(self, capsys, tmp_path):
+        # Generic states alternate with |000> + 1e-4 |111>, whose rank-4
+        # margin is about 2 and so is flagged as degenerate.
+        fragile = np.zeros((2, 2, 2), dtype=complex)
+        fragile[0, 0, 0], fragile[1, 1, 1] = 1.0, 1e-4
+        fragile /= np.linalg.norm(fragile)
+        for i in range(40):
+            state = fragile if i % 2 else random_state("qubit3", i)
+            path = tmp_path / f"state{i:02d}.json"
+            path.write_text(dump_state_text(StateFile("qubit3", state)))
+        expected, worst = {}, 0
+        for path in sorted(tmp_path.glob("*.json")):
+            code, out, _ = run_cli(capsys, "classify", str(path), "--json", "--strict")
+            expected[path.name] = json.loads(out).get("degenerate", False)
+            worst = max(worst, code)
+        assert sum(expected.values()) == 20 and worst == 4
+        for _ in range(3):
+            result = subprocess.run(
+                [sys.executable, "-m", "freudenthal.cli", "classify",
+                 "--batch", str(tmp_path), "--json", "--strict"],
+                capture_output=True,
+                text=True,
+            )
+            records = json.loads(result.stdout)
+            flags = {r["file"]: r.get("degenerate", False) for r in records}
+            assert flags == expected
+            assert result.returncode == worst
+            assert "DegeneracyWarning" not in result.stderr
 
     def test_batch_bad_directory(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--batch", "/nonexistent-dir")

@@ -158,6 +158,17 @@ class TestTripleProduct:
                 1.0, np.max(np.abs(ref))
             )
 
+    def test_homogeneous_at_extreme_scales(self, rng):
+        # At large norms the quadratic parts of a vector dwarf the linear
+        # ones; the cubic must stay accurate to rounding there too.
+        for kind in ALL_KINDS:
+            x, y, z = (random_vector(kind, rng) for _ in range(3))
+            ref = triple_product(x, y, z).coefficients()
+            for lam in (1e-7, 1e8):
+                got = triple_product(lam * x, lam * y, lam * z).coefficients()
+                err = np.max(np.abs(got / lam**3 - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref))
+
     def test_separable_representative_annihilated(self):
         for kind in ALL_KINDS:
             t = triple_product(sep_vector(kind), sep_vector(kind), sep_vector(kind))
