@@ -57,6 +57,7 @@ from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
+    _compound_columns,
     apply_matrix,
     is_decomposable,
     pluecker_scan,
@@ -494,13 +495,6 @@ def classify_state(system: str, state, tol: float = DEFAULT_TOL) -> ClassLabel:
 # ---------------------------------------------------------------------------
 
 
-def _compound_matrix(matrix: np.ndarray, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Minor matrix of ``matrix`` over the given 1-based row/column keys."""
-    idx = np.array([[m - 1 for m in key] for key in keys])
-    sub = matrix[idx[:, None, :, None], idx[None, :, None, :]]
-    return np.linalg.det(sub)
-
-
 def _act_on_species(psi: MultiState, species_index: int, matrix: np.ndarray) -> MultiState:
     shape = psi.shape
     k_i, n_i = shape.species[species_index]
@@ -511,15 +505,15 @@ def _act_on_species(psi: MultiState, species_index: int, matrix: np.ndarray) -> 
         )
     local = shape.local_keys(species_index + 1)
     position = {key: j for j, key in enumerate(local)}
-    compound = _compound_matrix(matrix, local)
     contexts: dict = {}
     for key, value in psi.amplitudes.items():
         ctx = key[:species_index] + key[species_index + 1 :]
         vec = contexts.setdefault(ctx, np.zeros(len(local), dtype=complex))
         vec[position[key[species_index]]] += value
+    columns = np.array(list(contexts.values())).reshape(len(contexts), len(local))
+    moved = _compound_columns(matrix, columns.T, k_i)
     amp: dict = {}
-    for ctx, vec in contexts.items():
-        out = compound @ vec
+    for ctx, out in zip(contexts, moved.T):
         for j, value in enumerate(out):
             if value != 0:
                 amp[ctx[:species_index] + (local[j],) + ctx[species_index:]] = value
@@ -552,14 +546,6 @@ def _act_boson3(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     out[2] = (moved[0, 1, 1] + moved[1, 0, 1] + moved[1, 1, 0]) / 3.0
     out[3] = moved[1, 1, 1]
     return out
-
-
-_PAIR_KEYS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
-def _act_qubit_fermion4(packed: np.ndarray, g_qubit: np.ndarray, g_modes: np.ndarray) -> np.ndarray:
-    compound = _compound_matrix(g_modes, _PAIR_KEYS_4)
-    return g_qubit @ packed @ compound.T
 
 
 def slocc_act(state, element, system: Optional[str] = None):
@@ -623,7 +609,7 @@ def slocc_act(state, element, system: Optional[str] = None):
     if mats[0].shape != (2, 2) or mats[1].shape != (4, 4):
         raise ShapeError("qubit + two-fermion actions use a 2x2 and a 4x4 matrix")
     packed = pack_antisymmetric_pair(arr)
-    moved = _act_qubit_fermion4(packed, mats[0], mats[1])
+    moved = mats[0] @ _compound_columns(mats[1], packed.T, 2).T
     if arr.shape == (2, 4, 4):
         full = np.zeros((2, 4, 4), dtype=complex)
         for (j, k), column in _PAIR_COLUMN.items():

@@ -424,7 +424,7 @@ def species_rdm(psi: MultiState, species: int) -> np.ndarray:
         contexts.setdefault(ctx, {})[key[i]] = value
     rho = np.zeros((n_i, n_i), dtype=complex)
     for local in contexts.values():
-        rho += _rdm_numerator(local, n_i)
+        rho += _rdm_numerator(FermionState(k_i, n_i, local))
     return rho / k_i
 
 

@@ -227,6 +227,17 @@ class TestGroupActions:
         assert moved.shape == (2, 4, 4)
         assert np.allclose(moved, -moved.transpose(0, 2, 1))
 
+    def test_qubit_fermion4_action_matches_minors(self, rng):
+        # The pair factor moves by the 2 x 2 minors of the 4 x 4 matrix.
+        packed = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        g = random_group_element("qubit_fermion4", seed=43)
+        pairs = np.array(list(itertools.combinations(range(4), 2)))
+        rows, cols = pairs[:, None, :, None], pairs[None, :, None, :]
+        minors = np.linalg.det(g.matrices[1][rows, cols])
+        expected = g.matrices[0] @ packed @ minors.T
+        bound = 1e-12 * np.abs(expected).max()
+        assert np.abs(slocc_act(packed, g) - expected).max() <= bound
+
     def test_dispatch_errors(self):
         state = random_state("qubit3", seed=51)
         with pytest.raises(ShapeError):

@@ -1,15 +1,21 @@
 """Tests for the sparse exterior-algebra layer."""
 
+import importlib.resources
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_fermion_amplitudes
+from conftest import random_complex, random_fermion_amplitudes
+from freudenthal.cli import _fermionic_image
 from freudenthal.fermion import (
     FermionState,
     ShapeError,
+    _scan_tables,
+    _witness,
     apply_matrix,
     decomposability_oracle,
     from_freudenthal,
@@ -25,6 +31,7 @@ from freudenthal.fermion import (
     wedge_of_vectors,
     wedge_power_norm,
 )
+from freudenthal.statefile import load_state_file
 from freudenthal.triple import FreudenthalVector, quartic_form, rank
 
 SQRT2 = math.sqrt(2.0)
@@ -121,6 +128,24 @@ class TestWedge:
             sign = (-1.0) ** (ku * kv)
             for key in uv.amplitudes:
                 assert uv.amplitude(key) == pytest.approx(sign * vu.amplitude(key))
+
+    def test_matches_term_by_term_product(self, rng):
+        # Every pair of terms, parity folded in by from_terms.
+        shapes = [(1, 1, 3), (1, 3, 6), (2, 2, 4), (3, 3, 6), (2, 3, 7), (4, 4, 8)]
+        for ku, kv, n in shapes:
+            u = random_state(ku, n, rng)
+            sparse = list(random_state(kv, n, rng).amplitudes.items())[::3]
+            v = FermionState(kv, n, dict(sparse))
+            expected = FermionState.from_terms(
+                ku + kv,
+                n,
+                [
+                    (a + b, x * y)
+                    for a, x in u.amplitudes.items()
+                    for b, y in v.amplitudes.items()
+                ],
+            )
+            assert (wedge(u, v) - expected).norm() <= 1e-12 * expected.norm()
 
     def test_wedge_of_vectors_is_minor_expansion(self, rng):
         vecs = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
@@ -243,16 +268,17 @@ class TestReducedDensityMatrix:
     def test_dense_tensor_oracle(self, rng):
         # Build the antisymmetric dense tensor and trace out all slots
         # but the first; must match the sparse accumulation.
-        for _ in range(5):
-            P = random_state(3, 6, rng)
+        for k, n in [(3, 6)] * 5 + [(1, 4), (2, 5), (4, 7)]:
+            P = random_state(k, n, rng)
             P = (1.0 / P.norm()) * P
-            psi = np.zeros((6, 6, 6), dtype=complex)
-            for perm in itertools.permutations(range(3)):
+            psi = np.zeros((n,) * k, dtype=complex)
+            for perm in itertools.permutations(range(k)):
                 for key, val in P.amplitudes.items():
                     idx = tuple(key[p] - 1 for p in perm)
-                    sign = sort_sign(tuple(perm[i] + 1 for i in range(3)))[0]
-                    psi[idx] = sign * val / math.sqrt(6.0)
-            dense = np.einsum("aij,bij->ab", psi, psi.conj())
+                    sign = sort_sign(tuple(perm[i] + 1 for i in range(k)))[0]
+                    psi[idx] = sign * val / math.sqrt(math.factorial(k))
+            rest = list(range(1, k))
+            dense = np.tensordot(psi, psi.conj(), axes=(rest, rest))
             assert np.allclose(one_particle_rdm(P), dense, atol=1e-12)
 
     def test_hermitian_psd_trace_one(self, rng):
@@ -378,3 +404,144 @@ class TestApplyMatrix:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             apply_matrix(ghz6(), np.eye(5))
+
+
+# -- independent references ----------------------------------------------------
+
+
+def reference_compound(P: FermionState, g: np.ndarray) -> dict:
+    """sum_J det(g[K, J]) P_J for every output key K, from the k x k minors."""
+    keys = list(itertools.combinations(range(1, P.n + 1), P.k))
+    modes = np.array(keys) - 1
+    minors = np.linalg.det(g[modes[:, None, :, None], modes[None, :, None, :]])
+    return dict(zip(keys, minors @ np.array([P.amplitude(J) for J in keys])))
+
+
+def reference_scan_tables(k: int, n: int):
+    """The index tables of the relation scan built entry by entry."""
+    index = {
+        key: i for i, key in enumerate(itertools.combinations(range(1, n + 1), k))
+    }
+    pairs, first, second, sign = [], [], [], []
+    for a in itertools.combinations(range(1, n + 1), k - 1):
+        for b in itertools.combinations(range(1, n + 1), k + 1):
+            row_f, row_s, row_sign = [], [], []
+            for j, bj in enumerate(b):
+                parity, key = sort_sign(a + (bj,))
+                if parity == 0:
+                    row_f.append(0)
+                    row_s.append(0)
+                    row_sign.append(0)
+                else:
+                    row_f.append(index[key] + 1)
+                    row_s.append(index[b[:j] + b[j + 1 :]] + 1)
+                    row_sign.append(parity * (-1) ** j)
+            pairs.append((a, b))
+            first.append(row_f)
+            second.append(row_s)
+            sign.append(row_sign)
+    return (
+        pairs,
+        np.array(first, dtype=np.intp),
+        np.array(second, dtype=np.intp),
+        np.array(sign, dtype=np.int8),
+    )
+
+
+def rank_deficient(n: int, rank: int, rng) -> np.ndarray:
+    g = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
+    return g / max(np.linalg.norm(g, 2), 1.0)
+
+
+class TestCompoundReference:
+    SHAPES = [(1, 5), (2, 6), (4, 4), (4, 8), (5, 10)]
+
+    @staticmethod
+    def inputs(k, n, rng):
+        keys = list(itertools.combinations(range(1, n + 1), k))
+        yield "dense", random_state(k, n, rng)
+        yield "single key", FermionState(k, n, {keys[len(keys) // 2]: 0.7 - 0.2j})
+        yield "two keys", FermionState(k, n, {keys[0]: 1 / SQRT2, keys[-1]: 1j / SQRT2})
+
+    @pytest.mark.parametrize("k,n", SHAPES)
+    def test_matches_minor_expansion(self, k, n, rng):
+        for label, P in self.inputs(k, n, rng):
+            g = random_complex(rng, n, n)
+            moved = apply_matrix(P, g).amplitudes
+            expected = reference_compound(P, g)
+            bound = 1e-12 * max(abs(v) for v in expected.values())
+            assert set(moved) >= {K for K, v in expected.items() if abs(v) > bound}, label
+            for K, value in expected.items():
+                assert abs(moved.get(K, 0.0) - value) <= bound, (label, K)
+
+    @pytest.mark.parametrize("k,n", SHAPES)
+    def test_rank_deficient_matrix_gives_zero(self, k, n, rng):
+        for label, P in self.inputs(k, n, rng):
+            g = rank_deficient(n, k - 1, rng)
+            assert apply_matrix(P, g).is_zero(), label
+            assert max(abs(v) for v in reference_compound(P, g).values()) < 1e-12
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_composition_property(self, data):
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, n))
+        unit = st.floats(-1.0, 1.0)
+        entries = st.lists(
+            st.builds(complex, unit, unit), min_size=n * n, max_size=n * n
+        )
+        g = np.array(data.draw(entries)).reshape(n, n)
+        h = np.array(data.draw(entries)).reshape(n, n)
+        keys = list(itertools.combinations(range(1, n + 1), k))
+        values = data.draw(
+            st.lists(st.builds(complex, unit, unit), min_size=len(keys), max_size=len(keys))
+        )
+        P = FermionState(k, n, dict(zip(keys, values)))
+        two_step = apply_matrix(apply_matrix(P, h), g)
+        one_step = apply_matrix(P, g @ h)
+        scale = 1.0 + (np.linalg.norm(g) * np.linalg.norm(h)) ** k * P.norm()
+        for key in keys:
+            assert abs(two_step.amplitude(key) - one_step.amplitude(key)) <= 1e-12 * scale
+
+
+class TestScanTables:
+    SHAPES = [(k, n) for n in range(2, 10) for k in range(1, n)] + [(4, 10)]
+
+    def test_tables_match_entrywise_builder(self):
+        for k, n in self.SHAPES:
+            pairs, *expected = reference_scan_tables(k, n)
+            for built, ref in zip(_scan_tables(k, n), expected):
+                assert built.dtype == ref.dtype, (k, n)
+                assert np.array_equal(built, ref), (k, n)
+            assert [_witness(k, n, r) for r in range(len(pairs))] == pairs, (k, n)
+
+    def test_top_degree_has_no_relations(self):
+        for n in range(1, 6):
+            first, second, sign = _scan_tables(n, n)
+            assert first.shape == second.shape == sign.shape == (0, n + 1)
+            P = FermionState(n, n, {tuple(range(1, n + 1)): 2.0})
+            assert pluecker_scan(P) == (0.0, None)
+            assert pluecker_violations(P) == []
+            assert is_decomposable(P)
+            assert decomposability_oracle(P)
+
+    def test_corpus_witnesses_match_entrywise_builder(self):
+        corpus = importlib.resources.files("freudenthal") / "corpus"
+        for path in sorted(corpus.iterdir()):
+            P = _fermionic_image(load_state_file(str(path)))
+            pairs, first, second, sign = reference_scan_tables(P.k, P.n)
+            vec = np.zeros(math.comb(P.n, P.k) + 1, dtype=complex)
+            for r, key in enumerate(itertools.combinations(range(1, P.n + 1), P.k)):
+                vec[r + 1] = P.amplitude(key)
+            mags = np.abs((sign * vec[first] * vec[second]).sum(axis=1))
+            best = int(np.argmax(mags))
+            assert pluecker_scan(P) == (float(mags[best]), pairs[best]), path.name
+            cutoff = 1e-8 * P.norm() ** 2
+            expected = sorted(
+                (
+                    (*pairs[r], float(mags[r]))
+                    for r in np.flatnonzero(mags > cutoff)
+                ),
+                key=lambda t: -t[2],
+            )
+            assert pluecker_violations(P) == expected, path.name
