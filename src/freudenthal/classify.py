@@ -423,7 +423,11 @@ def _classify_ranked(system: str, state, tol: float) -> ClassLabel:
     if name == "biseparable":
         arr = state if system == "fermion" else _as_system_array(system, state)
         cuts = _ranked_cut_pattern(system, arr, tol)
-    report = {"tangle_abs": invariant_for(system, state)}
+    if system == "fermion":  # invariant_for would rebuild this same image
+        tangle = abs(quartic_tangle(x))
+    else:
+        tangle = invariant_for(system, state)
+    report = {"tangle_abs": tangle}
     return ClassLabel(rank=r, name=name, cut_pattern=cuts, invariants_report=report)
 
 

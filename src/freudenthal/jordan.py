@@ -232,12 +232,17 @@ def _norm_vec(kind: AlgebraKind, v: np.ndarray) -> np.ndarray:
     return _det3(v)
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 def _product_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(left, right, sign) arrays of shape (d, 2) from per-component lists of
     at most two signed coordinate products (i, j, sign)."""
     padded = [row + [(0, 0, 0)] * (2 - len(row)) for row in rows]
-    left, right, sign = np.array(padded).transpose(2, 0, 1)
-    return left, right, sign.astype(float)
+    left, right, sign = np.array(padded, dtype=np.intp).transpose(2, 0, 1)
+    return _read_only(left), _read_only(right), _read_only(sign.astype(float))
 
 
 # Component k of x# is sum_t sign[k,t] x[left[k,t]] x[right[k,t]]: the
@@ -267,20 +272,20 @@ def _cross_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross product u x v = [(u+v)# - u# - v#] / 2, formed term by term so
     that arguments of very different size lose no accuracy."""
     left, right, sign = _SHARP_TERMS[kind]
-    return 0.5 * np.sum(
-        sign * (u[..., left] * v[..., right] + v[..., left] * u[..., right]), axis=-1
-    )
+    terms = u.take(left, axis=-1) * v.take(right, axis=-1)
+    terms += v.take(left, axis=-1) * u.take(right, axis=-1)
+    return 0.5 * (sign * terms).sum(-1)
 
 
 def _sharp_vec(kind: AlgebraKind, v: np.ndarray) -> np.ndarray:
     left, right, sign = _SHARP_TERMS[kind]
-    return np.sum(sign * v[..., left] * v[..., right], axis=-1)
+    return (sign * v.take(left, axis=-1) * v.take(right, axis=-1)).sum(-1)
 
 
 # coordinate permutation taking a flattened matrix block to its transpose
 _TRANSPOSE = {
-    AlgebraKind.J12: [0, 1, 3, 2, 4],
-    AlgebraKind.J3: [0, 3, 6, 1, 4, 7, 2, 5, 8],
+    AlgebraKind.J12: _read_only(np.array([0, 1, 3, 2, 4], dtype=np.intp)),
+    AlgebraKind.J3: _read_only(np.array([0, 3, 6, 1, 4, 7, 2, 5, 8], dtype=np.intp)),
 }
 
 
@@ -291,8 +296,8 @@ def _trace_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # weight 2 on the doubled coordinate, matching Tr on diag(a, b, b)
         return u[..., 0] * v[..., 0] + 2.0 * u[..., 1] * v[..., 1]
     if kind is AlgebraKind.J111:
-        return np.sum(u * v, axis=-1)
-    return np.sum(u[..., _TRANSPOSE[kind]] * v, axis=-1)  # [ab +] Tr(UV)
+        return (u * v).sum(-1)
+    return (u.take(_TRANSPOSE[kind], axis=-1) * v).sum(-1)  # [ab +] Tr(UV)
 
 
 # -- public structure maps ---------------------------------------------------
@@ -411,3 +416,11 @@ def embed_in_j3(x: JordanElement) -> JordanElement:
     while x.kind is not AlgebraKind.J3:
         x = embed_step(x)
     return x
+
+
+# (d, 9) matrix taking coefficient rows to the row-major M_3(C) coordinates
+# of their images under embed_in_j3
+_J3_COORDS = {
+    kind: _read_only(np.array([embed_in_j3(e).coeffs.real for e in basis(kind)]))
+    for kind in AlgebraKind
+}

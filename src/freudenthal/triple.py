@@ -20,6 +20,11 @@ canonical GHZ vector).
 
 Vectors stratify into ranks 0..4 by the vanishing pattern of q, T(x,x,x)
 and the linear map y -> 3 T(x,x,y) - {x,y} x; the rank is the SLOCC class.
+The map vanishes exactly on the strictly regular vectors, A# = beta B,
+B# = alpha A and AB = BA = alpha beta 1 in M_3(C) (Krutelevich, J. Algebra
+314 (2007); Borsten, Dahanayake, Duff, Ebrahim, Rubens, Phys. Rep. 471
+(2009), arXiv:0809.4685), so the rank test checks those instead, and only
+after q and T(x,x,x) have both vanished.
 
 Everything here is immutable and pure; only the coordinate basis of each
 system is cached per process.
@@ -37,8 +42,8 @@ from .jordan import (
     AlgebraKind,
     JordanElement,
     KindMismatch,
+    _J3_COORDS,
     _cross_vec,
-    _norm_vec,
     _sharp_vec,
     _trace_vec,
     embed_in_j3,
@@ -162,51 +167,50 @@ def zero_vector(kind: AlgebraKind) -> FreudenthalVector:
 @functools.lru_cache(maxsize=None)
 def triple_basis(kind: AlgebraKind) -> tuple[FreudenthalVector, ...]:
     """Coordinate basis of M(J), ordered as in coefficients()."""
-    dim = 2 + 2 * kind.dimension
-    eye = np.eye(dim)
-    return tuple(fvector(kind, row) for row in eye)
+    return tuple(fvector(kind, row) for row in np.eye(2 + 2 * kind.dimension))
 
 
 # -- the three defining forms -------------------------------------------------
 
 
-def _split(kind: AlgebraKind, vec: np.ndarray):
-    """(alpha, beta, A, B) views of a (..., 2 + 2d) stack of coordinates."""
-    d = kind.dimension
-    return vec[..., 0], vec[..., 1], vec[..., 2 : 2 + d], vec[..., 2 + d :]
-
-
-def _skew_vec(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xalpha, xbeta, xa, xb = _split(kind, x)
-    yalpha, ybeta, ya, yb = _split(kind, y)
-    return (
-        xalpha * ybeta
-        - xbeta * yalpha
-        + _trace_vec(kind, xa, yb)
-        - _trace_vec(kind, xb, ya)
-    )
-
-
 def skew_form(x: FreudenthalVector, y: FreudenthalVector) -> complex:
     """Nondegenerate symplectic form {x, y}."""
     x._require(y)
-    return _skew_vec(x.kind, x.coefficients(), y.coefficients())
+    kind, d = x.kind, x.kind.dimension
+    u, v = x.coefficients(), y.coefficients()
+    return (
+        u[0] * v[1]
+        - u[1] * v[0]
+        + _trace_vec(kind, u[2 : 2 + d], v[2 + d :])
+        - _trace_vec(kind, u[2 + d :], v[2 : 2 + d])
+    )
 
 
-def _quartic_from_vec(kind: AlgebraKind, vec: np.ndarray) -> complex:
-    alpha, beta, a, b = _split(kind, vec)
-    t = _trace_vec(kind, a, b) - alpha * beta
+def _pieces(kind: AlgebraKind, vec: np.ndarray):
+    """Jordan pieces shared by q, T(x) and the rank-one test, for a
+    (..., 2 + 2d) stack: the scalars (alpha, beta), the pair (A, B),
+    t = (A,B) - alpha beta, the sharps (A#, B#) and the norms (N(A), N(B)),
+    the last from (X, X#) = 3 N(X)."""
+    d = kind.dimension
+    scalars = vec[..., :2]
+    pair = vec[..., 2:].reshape(*vec.shape[:-1], 2, d)
+    t = _trace_vec(kind, pair[..., 0, :], pair[..., 1, :]) - vec[..., 0] * vec[..., 1]
+    sharps = _sharp_vec(kind, pair)
+    return scalars, pair, t, sharps, _trace_vec(kind, pair, sharps) / 3.0
+
+
+def _quartic(kind: AlgebraKind, pieces) -> np.ndarray:
+    scalars, _, t, sharps, norms = pieces
     return (
         2.0 * t * t
-        - 8.0 * _trace_vec(kind, _sharp_vec(kind, a), _sharp_vec(kind, b))
-        + 8.0 * alpha * _norm_vec(kind, a)
-        + 8.0 * beta * _norm_vec(kind, b)
+        - 8.0 * _trace_vec(kind, sharps[..., 0, :], sharps[..., 1, :])
+        + 8.0 * (scalars * norms).sum(-1)
     )
 
 
 def quartic_form(x: FreudenthalVector) -> complex:
     """q(x); its vanishing pattern drives the rank stratification."""
-    return _quartic_from_vec(x.kind, x.coefficients())
+    return _quartic(x.kind, _pieces(x.kind, x.coefficients()))
 
 
 def quartic_tangle(x: FreudenthalVector) -> complex:
@@ -246,15 +250,15 @@ def quartic_form_linearized(
         s = vecs[subset[0]].copy()
         for i in subset[1:]:
             s += vecs[i]
-        total += (-1) ** (4 - len(subset)) * _quartic_from_vec(kind, s)
+        total += (-1) ** (4 - len(subset)) * _quartic(kind, _pieces(kind, s))
     return total / 24.0
 
 
 # -- the cubic T(x) = T(x,x,x) and its polarizations ---------------------------
 
 
-def _cubic_vec(kind: AlgebraKind, vec: np.ndarray) -> np.ndarray:
-    """T(x,x,x) on a (..., 2 + 2d) stack of coordinates, in closed form:
+def _cubic(kind: AlgebraKind, pieces) -> np.ndarray:
+    """T(x,x,x) from the pieces of a (..., 2 + 2d) stack, in closed form:
 
         T(x) = (-t alpha + 2N(B),  t beta - 2N(A),
                 t A - 4 B x A# + 2 beta B#,  -t B + 4 A x B# - 2 alpha A#)
@@ -262,23 +266,18 @@ def _cubic_vec(kind: AlgebraKind, vec: np.ndarray) -> np.ndarray:
     with t = (A,B) - alpha beta.  It is the gradient of q written through
     the skew form, {T(x), w} = q(x,x,x,w) for all w.
     """
-    d = kind.dimension
-    scalars = vec[..., :2]  # (alpha, beta)
-    pair = vec[..., 2:].reshape(*vec.shape[:-1], 2, d)  # (A, B)
-    t = _trace_vec(kind, pair[..., 0, :], pair[..., 1, :]) - vec[..., 0] * vec[..., 1]
-    sharps = _sharp_vec(kind, pair)  # (A#, B#)
+    scalars, pair, t, sharps, norms = pieces
     crosses = _cross_vec(kind, pair[..., ::-1, :], sharps)  # (B x A#, A x B#)
     # The beta and B slots repeat the alpha and A brackets with (alpha, A)
     # and (beta, B) swapped, negated.
     sign = np.array([1.0, -1.0])
-    norms = _trace_vec(kind, pair, sharps) / 3.0  # (N(A), N(B)): (x, x#) = 3 N(x)
     head = sign * (2.0 * norms[..., ::-1] - t[..., None] * scalars)
     tail = sign[:, None] * (
         t[..., None, None] * pair
         - 4.0 * crosses
         + 2.0 * scalars[..., ::-1, None] * sharps[..., ::-1, :]
     )
-    return np.concatenate((head, tail.reshape(*vec.shape[:-1], 2 * d)), axis=-1)
+    return np.concatenate((head, tail.reshape(*pair.shape[:-2], -1)), axis=-1)
 
 
 def triple_product(
@@ -290,7 +289,8 @@ def triple_product(
     x._require(y)
     x._require(z)
     u, v, w = x.coefficients(), y.coefficients(), z.coefficients()
-    t = _cubic_vec(x.kind, np.stack((u + v + w, u + v, u + w, v + w, u, v, w)))
+    stack = np.stack((u + v + w, u + v, u + w, v + w, u, v, w))
+    t = _cubic(x.kind, _pieces(x.kind, stack))
     return fvector(x.kind, (t[0] - t[1] - t[2] - t[3] + t[4] + t[5] + t[6]) / 6.0)
 
 
@@ -301,10 +301,10 @@ def rank(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL) -> int:
     """SLOCC rank in 0..4.
 
     rank 4: q(x) != 0;  rank 3: q = 0 but T(x,x,x) != 0;  rank 2: both vanish
-    but 3 T(x,x,y) - {x,y} x != 0 for some y (linear in y, so a basis scan
-    suffices);  rank 1: all vanish but x != 0;  rank 0: x = 0.  Thresholds
-    scale with ||x||^degree so the verdict is invariant under rescaling;
-    rank_margins defines them.
+    but x is not strictly regular;  rank 1: x != 0 is strictly regular
+    (A# = beta B, B# = alpha A, AB = BA = alpha beta 1);  rank 0: x = 0.
+    Thresholds scale with ||x||^degree so the verdict is invariant under
+    rescaling; rank_margins defines them.
     """
     return rank_margins(x, tol)[0]
 
@@ -314,42 +314,40 @@ def rank_margins(
 ) -> tuple[int, list[float]]:
     """Rank plus the ratios quantity/threshold for each test actually made.
 
-    The tests run in order and stop at the first ratio above 1:
+    The tests run in order, each only when the previous ratio is at most 1,
+    and stop at the first ratio above 1:
 
     1. |q(x)| against tol ||x||^4 (rank 4);
     2. ||T(x,x,x)|| against tol ||x||^3 (rank 3);
-    3. max_j ||3 T(x,x,e_j) - {x,e_j} x|| over the coordinate basis e_j,
-       against tol ||x||^2 (rank 2; on vectors of rank <= 1 the map
-       y -> 3 T(x,x,y) - {x,y} x vanishes identically).
+    3. the largest absolute entry of the four rank-one residuals
+       A# - beta B, B# - alpha A, AB - alpha beta 1 and BA - alpha beta 1
+       against tol ||x||^2 (rank 2).  The products are 3x3 matrix products
+       of A and B read in M_3(C) through the embedding of their algebra.
 
     Each quantity is homogeneous of the threshold's degree, so it is
-    evaluated on x / ||x|| against tol itself.  |q| is |{T(x), x}|, and the
-    basis columns come from 3 T(x,x,y) = [T(x+y) - T(x-y) - 2 T(y)] / 2,
-    exact for a cubic, in one stacked evaluation of T.  Ratios within a
-    factor of 10 of 1 indicate a numerically degenerate verdict; callers
+    evaluated on x / ||x|| against tol itself.  One set of Jordan pieces of
+    x / ||x|| (t, the sharps and the norms) feeds all three.  Ratios within
+    a factor of 10 of 1 indicate a numerically degenerate verdict; callers
     may escalate those to warnings.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    nx = x.norm()
+    vec = x.coefficients()
+    nx = np.linalg.norm(vec)
     if nx == 0.0:
         return 0, []
     kind = x.kind
-    unit = x.coefficients() / nx
-    eye = np.eye(unit.shape[0])
-    cubic = _cubic_vec(kind, np.vstack((unit, unit + eye, unit - eye, eye)))
-    t_x = cubic[0]
-    t_plus, t_minus, t_e = cubic[1:].reshape(3, *eye.shape)
-    skew_row = _skew_vec(kind, unit, eye)  # {x, e_j}
-    pencil = 0.5 * (t_plus - t_minus) - t_e - np.outer(skew_row, unit)
-    quantities = (
-        abs(t_x @ skew_row),  # |{x, T(x)}|
-        np.linalg.norm(t_x),
-        np.max(np.linalg.norm(pencil, axis=1)),
-    )
-    ratios: list[float] = []
-    for r, quantity in zip((4, 3, 2), quantities):
-        ratios.append(float(quantity) / tol)
-        if ratios[-1] > 1.0:
-            return r, ratios
-    return 1, ratios
+    pieces = _pieces(kind, vec / nx)
+    ratios = [float(abs(_quartic(kind, pieces))) / tol]
+    if ratios[-1] > 1.0:
+        return 4, ratios
+    ratios.append(float(np.linalg.norm(_cubic(kind, pieces))) / tol)
+    if ratios[-1] > 1.0:
+        return 3, ratios
+    scalars, pair, _, sharps, _ = pieces
+    mats = (pair @ _J3_COORDS[kind]).reshape(2, 3, 3)  # (A, B) in M_3(C)
+    products = mats @ mats[::-1] - scalars[0] * scalars[1] * np.eye(3)  # AB, BA
+    sharp_residual = sharps - scalars[::-1, None] * pair[::-1]  # A# - beta B, ...
+    residual = max(np.abs(products).max(), np.abs(sharp_residual).max())
+    ratios.append(float(residual) / tol)
+    return (2 if ratios[-1] > 1.0 else 1), ratios

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freudenthal.classify import (
     RANKED_SYSTEMS,
@@ -285,6 +287,17 @@ class TestClassInvariance:
                 / invariant_for(system, state)
             )
         assert max(ratios) == pytest.approx(min(ratios), rel=1e-6)
+
+    @pytest.mark.parametrize("system", RANKED_SYSTEMS)
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_representative_class_is_slocc_invariant(self, system, data):
+        reps = [rep for rep in REPS if rep.system == system]
+        rep = data.draw(st.sampled_from(reps), label="representative")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        moved = slocc_act(rep.state, random_group_element(system, seed), system)
+        before = classify_state(system, rep.state)
+        assert label_core(classify_state(system, moved)) == label_core(before)
 
 
 class TestSplitting:

@@ -1,13 +1,36 @@
 from __future__ import annotations
 
+import importlib.resources
 import itertools
 
 import numpy as np
 import pytest
 
-from freudenthal.jordan import AlgebraKind, KindMismatch, close, identity, j3, zero
+from freudenthal.classify import (
+    RANKED_SYSTEMS,
+    _freudenthal_image,
+    random_group_element,
+    slocc_act,
+)
+from freudenthal.jordan import (
+    AlgebraKind,
+    JordanElement,
+    KindMismatch,
+    _trace_vec,
+    close,
+    identity,
+    j3,
+    norm,
+    sharp,
+    zero,
+)
+from freudenthal.representatives import all_representatives
+from freudenthal.statefile import load_state_file
 from freudenthal.triple import (
+    DEFAULT_RANK_TOL,
     FreudenthalVector,
+    _cubic,
+    _pieces,
     fvector,
     quartic_form,
     quartic_form_linearized,
@@ -229,6 +252,149 @@ class TestRank:
             rank(ghz_vector(AlgebraKind.J1), tol=0.0)
         with pytest.raises(ValueError):
             rank(ghz_vector(AlgebraKind.J1), tol=-1.0)
+
+
+def _skew_vec(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    d = kind.dimension
+    return (
+        x[..., 0] * y[..., 1]
+        - x[..., 1] * y[..., 0]
+        + _trace_vec(kind, x[..., 2 : 2 + d], y[..., 2 + d :])
+        - _trace_vec(kind, x[..., 2 + d :], y[..., 2 : 2 + d])
+    )
+
+
+def _pencil_rank_margins(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL):
+    """The rank test as it was before the closed form: ratio 3 is the largest
+    column norm max_j ||3 T(x,x,e_j) - {x,e_j} x|| of the pencil on x/||x||,
+    from one stacked cubic over x, x + e_j, x - e_j and e_j (61 vectors
+    for J3)."""
+    nx = x.norm()
+    if nx == 0.0:
+        return 0, []
+    kind = x.kind
+    unit = x.coefficients() / nx
+    eye = np.eye(unit.shape[0])
+    stack = np.vstack((unit, unit + eye, unit - eye, eye))
+    cubic = _cubic(kind, _pieces(kind, stack))
+    t_x = cubic[0]
+    t_plus, t_minus, t_e = cubic[1:].reshape(3, *eye.shape)
+    skew_row = _skew_vec(kind, unit, eye)  # {x, e_j}
+    pencil = 0.5 * (t_plus - t_minus) - t_e - np.outer(skew_row, unit)
+    quantities = (
+        abs(t_x @ skew_row),  # |{x, T(x)}|
+        np.linalg.norm(t_x),
+        np.max(np.linalg.norm(pencil, axis=1)),
+    )
+    ratios: list[float] = []
+    for r, quantity in zip((4, 3, 2), quantities):
+        ratios.append(float(quantity) / tol)
+        if ratios[-1] > 1.0:
+            return r, ratios
+    return 1, ratios
+
+
+def _structured_j3(rng) -> list[FreudenthalVector]:
+    """A and B of every matrix rank 0..3 with alpha and beta zero or not;
+    strictly regular vectors with beta != 0 (B = A#/beta) and with beta = 0
+    (A# = 0, B# = alpha A, AB = BA = 0) in a random basis; and rank-one A
+    and B with (A,B) = 0 and AB = 0 but BA != 0, or the other way round,
+    whose only nonzero rank-one residual is one of the products."""
+
+    def c():
+        return complex(rng.normal(), rng.normal())
+
+    def of_rank(r):
+        u = rng.normal(size=(3, r)) + 1j * rng.normal(size=(3, r))
+        v = rng.normal(size=(r, 3)) + 1j * rng.normal(size=(r, 3))
+        return j3(u @ v)
+
+    out = []
+    for ra, rb in itertools.product(range(4), repeat=2):
+        for alpha, beta in itertools.product((0.0, c()), (0.0, c())):
+            out.append(FreudenthalVector(alpha, beta, of_rank(ra), of_rank(rb)))
+    for ra in range(4):
+        a, beta = of_rank(ra), c()
+        out.append(FreudenthalVector(norm(a) / beta**2, beta, a, (1 / beta) * sharp(a)))
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = j3(g @ np.diag([c(), c(), 0.0]) @ np.linalg.inv(g))
+        alpha = c()
+        out.append(FreudenthalVector(alpha, 0.0, (1 / alpha) * sharp(b), b))
+        u1, v1, u2, v2 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        v1 -= (v1 @ u2) / (u2 @ u2) * u2  # A B = u1 (v1 . u2) v2^T = 0
+        a, b = j3(np.outer(u1, v1)), j3(np.outer(u2, v2))
+        out += [FreudenthalVector(0.0, 0.0, a, b), FreudenthalVector(0.0, 0.0, b, a)]
+    return out
+
+
+def _structured_kind(kind: AlgebraKind, rng) -> list[FreudenthalVector]:
+    """Random A and B with coordinates zeroed by pattern, alpha and beta zero
+    or not, and the strictly regular (N(A)/beta^2, beta, A, A#/beta)."""
+    d = kind.dimension
+    out = [ghz_vector(kind), w_vector(kind), sep_vector(kind)]
+    for mask_a, mask_b in itertools.product(range(1, 2 ** min(d, 3)), repeat=2):
+        a, b = (
+            JordanElement(
+                kind,
+                [
+                    complex(rng.normal(), rng.normal()) * ((mask >> (i % 3)) & 1)
+                    for i in range(d)
+                ],
+            )
+            for mask in (mask_a, mask_b)
+        )
+        beta = complex(rng.normal(), rng.normal())
+        out.append(FreudenthalVector(0.0, beta, a, b))
+        out.append(FreudenthalVector(norm(a) / beta**2, beta, a, (1 / beta) * sharp(a)))
+        out.append(FreudenthalVector(1.0, 0.0, a, zero(kind)))
+    return out
+
+
+def _parity_inputs() -> list[FreudenthalVector]:
+    rng = np.random.default_rng(61)
+    inputs = []
+    corpus = importlib.resources.files("freudenthal") / "corpus"
+    for path in sorted(corpus.iterdir()):
+        sf = load_state_file(str(path))
+        if sf.system in RANKED_SYSTEMS and (
+            sf.system != "fermion" or (sf.state.k, sf.state.n) == (3, 6)
+        ):
+            inputs.append(_freudenthal_image(sf.system, sf.state))
+    for rep in all_representatives():
+        for seed in range(3):
+            g = random_group_element(rep.system, seed)
+            inputs.append(_freudenthal_image(rep.system, slocc_act(rep.state, g)))
+    for _ in range(3):
+        inputs += _structured_j3(rng)
+    for kind in ALL_KINDS:
+        inputs += _structured_kind(kind, rng)
+        inputs += [random_vector(kind, rng) for _ in range(10)]
+    return [lam * x for x in inputs for lam in (1.0, 1e-7, 1e-3, 1e4, 1e8)]
+
+
+class TestClosedFormRankParity:
+    def test_matches_pencil_rank_test(self):
+        ranks = {r: 0 for r in range(5)}
+        for x in _parity_inputs():
+            r, ratios = rank_margins(x)
+            ref, ref_ratios = _pencil_rank_margins(x)
+            assert r == ref, (x, ratios, ref_ratios)
+            # q and T(x) are the same quantities; only ratio 3 is redefined
+            for got, want in zip(ratios[:2], ref_ratios[:2]):
+                assert abs(got - want) * DEFAULT_RANK_TOL <= 1e-13
+            ranks[r] += 1
+        assert min(ranks[r] for r in range(1, 5)) >= 100, ranks
+
+    def test_rank_one_margin_is_largest_residual(self):
+        # x = (0.6, 0, diag(0, 0.8, 0), 0) is a unit vector with q = 0 and
+        # T(x) = 0; of its residuals only B# - alpha A = -alpha A is nonzero.
+        alpha = 0.6
+        x = FreudenthalVector(
+            alpha, 0.0, j3(np.diag([0.0, 0.8, 0.0])), zero(AlgebraKind.J3)
+        )
+        r, ratios = rank_margins(x)
+        assert r == 2 and ratios[:2] == [0.0, 0.0]
+        assert ratios[2] == pytest.approx(alpha * 0.8 / DEFAULT_RANK_TOL)
 
 
 class TestValidation:
