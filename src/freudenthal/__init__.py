@@ -7,13 +7,16 @@ five tripartite quantum systems, plus a JSON state-file CLI.
 
 from .classify import (
     RANKED_SYSTEMS,
+    SYSTEM_TABLE,
     SYSTEMS,
     ClassLabel,
     DegeneracyWarning,
     GroupElement,
+    System,
     classify_state,
     invariant_for,
     invariant_via_embedding,
+    lookup_system,
     random_group_element,
     random_state,
     slocc_act,
@@ -30,7 +33,6 @@ from .embed import (
     boson3_to_freudenthal,
     embedded_rdm_blocks,
     factors_across_cut,
-    merge_qudits,
     merge_species,
     multistate_from_tensor,
     pack_antisymmetric_pair,

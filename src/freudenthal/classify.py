@@ -1,19 +1,24 @@
 """SLOCC classification for Freudenthal-aligned quantum systems.
 
 Five concrete systems share one quartic invariant through their common
-image inside the triple system built on the 3x3 complex Jordan algebra:
+image inside the triple system built on the 3x3 complex Jordan algebra.
+``SYSTEM_TABLE`` holds one :class:`System` record of facts per name, in
+this order:
 
-======================  ==========================  ====================
-system identifier       Hilbert space               SLOCC group
-======================  ==========================  ====================
-``fermion`` (3 in 6)    third wedge power of C^6    GL(6)
-``qubit_fermion4``      C^2 (x) wedge^2 C^4         GL(2) x GL(4)
-``qubit3``              C^2 (x) C^2 (x) C^2         GL(2)^3
-``boson2q``             C^2 (x) Sym^2 C^2           GL(2) x GL(2)
-``boson3``              Sym^3 C^2                   GL(2)
-======================  ==========================  ====================
+==================  =======================  =========================  ================
+system identifier   native state             Hilbert space              SLOCC group
+==================  =======================  =========================  ================
+``fermion``         ``FermionState`` (3, 6)  third wedge power of C^6   GL(6)
+``multi``           ``MultiState``           (x)_i wedge^k_i C^n_i      (x)_i GL(n_i)
+``qubit3``          (2, 2, 2) array          C^2 (x) C^2 (x) C^2        GL(2)^3
+``boson2q``         (2, 3) array             C^2 (x) Sym^2 C^2          GL(2) x GL(2)
+``boson3``          (4,) array               Sym^3 C^2                  GL(2)
+``qubit_fermion4``  (2, 6) or (2, 4, 4)      C^2 (x) wedge^2 C^4        GL(2) x GL(4)
+==================  =======================  =========================  ================
 
-Each state embeds as a four-by-"cubic Jordan algebra" vector whose rank
+Every system but ``multi`` has a Freudenthal image (``fermion`` only at
+three particles in six modes, its default shape).  Each state embeds as
+a four-by-"cubic Jordan algebra" vector whose rank
 (1 to 4) is a complete SLOCC invariant: rank 4 is the GHZ class (quartic
 invariant nonzero), rank 3 the W class, rank 2 biseparable, rank 1
 separable.  Rank-2 states of systems with distinguishable factors are
@@ -33,15 +38,19 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .embed import (
+    _PAIR_INDEX,
+    _PAIR_SLOTS,
     MultiState,
     SystemShape,
     bipartitions,
     boson2q_to_freudenthal,
+    boson2q_to_three_qubit,
+    boson3_to_boson2q,
     boson3_to_freudenthal,
     factors_across_cut,
     merge_species,
@@ -49,7 +58,6 @@ from .embed import (
     pack_antisymmetric_pair,
     qubit_fermion4_to_fermion,
     qubit_fermion4_to_freudenthal,
-    separability_via_embedding,
     three_qubit_to_fermion,
     three_qubit_to_freudenthal,
 )
@@ -67,30 +75,24 @@ from .fermion import (
 from .triple import FreudenthalVector, quartic_form, quartic_tangle, rank_margins
 
 __all__ = [
+    "RANKED_SYSTEMS",
     "SYSTEMS",
+    "SYSTEM_TABLE",
     "ClassLabel",
     "DegeneracyWarning",
     "GroupElement",
+    "System",
     "classify_state",
     "invariant_for",
     "invariant_via_embedding",
+    "lookup_system",
     "random_group_element",
     "random_state",
     "slocc_act",
     "three_tangle",
 ]
 
-#: System identifiers accepted throughout this module and by the CLI.
-SYSTEMS = ("fermion", "multi", "qubit3", "boson2q", "boson3", "qubit_fermion4")
-
-#: Systems classified through the rank of their Freudenthal image.
-RANKED_SYSTEMS = ("fermion", "qubit3", "boson2q", "boson3", "qubit_fermion4")
-
 _RANK_NAMES = {4: "GHZ", 3: "W", 2: "biseparable", 1: "separable"}
-
-#: Weights of the symmetric-monomial basis in each bosonic norm convention.
-_BOSON2Q_WEIGHTS = np.array([1.0, 2.0, 1.0])
-_BOSON3_WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])
 
 _SINGULAR_TOL = 1e-12
 
@@ -100,6 +102,89 @@ class DegeneracyWarning(UserWarning):
 
 
 Cut = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class System:
+    """What the classifier, the CLI and state files know about one system.
+
+    ``kind`` is the native state type; ``shapes`` the accepted array
+    shapes, canonical first (for ``fermion`` the default (k, n), the one
+    with a Freudenthal image; ``multi`` must always be given a shape);
+    ``canonical`` maps the others to the canonical one, whose norm weights
+    are ``weights`` (``None`` for the Euclidean norm).  ``matrix_sizes``
+    maps a shape to the SLOCC matrix sizes, which ``act`` applies.  The
+    maps take a native state: ``fermion`` to its fermionic image,
+    ``multistate`` to a ``MultiState`` (``None`` for the bosons),
+    ``freudenthal`` to its triple-system image.  ``tangle`` is the explicit
+    polynomial (``None`` for ``fermion``, whose amplitudes are its
+    coordinates) and ``embedded_tangle`` the embedding route.  A rank-two
+    image is named ``rank_two`` and split by ``cuts``; states without an
+    image are classified by ``general`` and drawn by ``draw``.
+    ``file_keys`` maps the state-file keys of a dense system to (canonical
+    slot, sign); ``None`` means the keys are the array indices.
+    """
+
+    name: str
+    kind: type
+    shapes: tuple[tuple[int, ...], ...]
+    matrix_sizes: Callable[[Any], tuple[int, ...]]
+    act: Callable[[Any, Sequence[np.ndarray]], Any]
+    fermion: Callable[[Any], FermionState]
+    multistate: Optional[Callable[[Any], MultiState]] = None
+    freudenthal: Optional[Callable[[Any], FreudenthalVector]] = None
+    tangle: Optional[Callable[[np.ndarray], float]] = None
+    embedded_tangle: Optional[Callable[[Any], float]] = None
+    rank_two: str = "biseparable"
+    cuts: Optional[Callable[["System", Any, float], tuple[Cut, ...]]] = None
+    canonical: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    weights: Optional[np.ndarray] = None
+    general: Optional[Callable[[Any, float], "ClassLabel"]] = None
+    draw: Optional[Callable[[np.random.Generator, Any], Any]] = None
+    file_keys: Optional[Mapping[tuple[int, ...], tuple[tuple[int, ...], int]]] = None
+
+    def native(self, state):
+        """Check that ``state`` is a native state of this system and return
+        it in canonical form."""
+        if self.kind is not np.ndarray:
+            if not isinstance(state, self.kind):
+                raise ShapeError(
+                    f"system {self.name!r} expects a {self.kind.__name__}"
+                )
+            return state
+        arr = np.asarray(state, dtype=complex)
+        if arr.shape not in self.shapes:
+            raise ShapeError(
+                f"system {self.name!r} expects amplitudes of shape "
+                f"{' or '.join(map(str, self.shapes))}, got {arr.shape}"
+            )
+        return arr if self.canonical is None else self.canonical(arr)
+
+    def has_image(self, state) -> bool:
+        """True when the rank of the Freudenthal image classifies ``state``."""
+        return self.freudenthal is not None and state.shape in self.shapes
+
+    def shape_or_default(self, shape):
+        """``shape``, or the default one when it is ``None``."""
+        if shape is not None:
+            return shape
+        if not self.shapes:
+            raise ShapeError(f"system {self.name!r} needs an explicit species shape")
+        return self.shapes[0]
+
+    def norm_sq(self, arr: np.ndarray) -> float:
+        """Squared norm of a canonical dense state in its convention."""
+        if self.weights is None:
+            return float(np.linalg.norm(arr)) ** 2
+        return float(np.sum(self.weights * np.abs(arr) ** 2))
+
+
+def lookup_system(name) -> System:
+    """The record of a system name; unknown names raise ``ShapeError``."""
+    spec = SYSTEM_TABLE.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ShapeError(f"unknown system {name!r}; expected one of {SYSTEMS}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -228,14 +313,11 @@ def _boson3_tangle(c: np.ndarray) -> float:
     return abs(t)
 
 
-_PAIR_COLUMN = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
-
-
 def _qubit_fermion4_tangle(packed: np.ndarray) -> float:
     def d(i: int, j: int, k: int) -> complex:
         if j < k:
-            return packed[i, _PAIR_COLUMN[(j, k)]]
-        return -packed[i, _PAIR_COLUMN[(k, j)]]
+            return packed[i, _PAIR_INDEX[(j, k)]]
+        return -packed[i, _PAIR_INDEX[(k, j)]]
 
     t = 4.0 * (
         (d(0, 2, 3) * d(1, 0, 1)) ** 2
@@ -277,25 +359,6 @@ def _qubit_fermion4_tangle(packed: np.ndarray) -> float:
     return abs(t)
 
 
-def _as_system_array(system: str, state) -> np.ndarray:
-    """Validate and normalize the dense array forms of the sub-systems."""
-    arr = np.asarray(state, dtype=complex)
-    expected = {
-        "qubit3": ((2, 2, 2),),
-        "boson2q": ((2, 3),),
-        "boson3": ((4,),),
-        "qubit_fermion4": ((2, 6), (2, 4, 4)),
-    }[system]
-    if arr.shape not in expected:
-        raise ShapeError(
-            f"system {system!r} expects amplitudes of shape "
-            f"{' or '.join(map(str, expected))}, got {arr.shape}"
-        )
-    if system == "qubit_fermion4" and arr.shape == (2, 4, 4):
-        arr = pack_antisymmetric_pair(arr)
-    return arr
-
-
 def invariant_for(system: str, state) -> float:
     """Absolute quartic invariant from the system's explicit polynomial.
 
@@ -303,19 +366,13 @@ def invariant_for(system: str, state) -> float:
     amplitudes; ``invariant_via_embedding`` computes the same quantity
     along an independent route for cross-checking.
     """
-    if system == "fermion":
-        if not isinstance(state, FermionState):
-            raise ShapeError("system 'fermion' expects a FermionState")
-        return abs(quartic_tangle(to_freudenthal(state)))
-    if system == "qubit3":
-        return three_tangle(state)
-    if system == "boson2q":
-        return _boson2q_tangle(_as_system_array(system, state))
-    if system == "boson3":
-        return _boson3_tangle(_as_system_array(system, state))
-    if system == "qubit_fermion4":
-        return _qubit_fermion4_tangle(_as_system_array(system, state))
-    raise ShapeError(f"no explicit quartic invariant for system {system!r}")
+    spec = lookup_system(system)
+    if spec.freudenthal is None:
+        raise ShapeError(f"no explicit quartic invariant for system {system!r}")
+    state = spec.native(state)
+    if spec.tangle is None:
+        return _abs_tangle(spec.freudenthal(state))
+    return spec.tangle(state)
 
 
 def invariant_via_embedding(system: str, state) -> float:
@@ -327,41 +384,15 @@ def invariant_via_embedding(system: str, state) -> float:
     system takes the doubled-quartic-form route through the Jordan-algebra
     machinery, which must agree with its coordinate transcription.
     """
-    if system == "fermion":
-        if not isinstance(state, FermionState):
-            raise ShapeError("system 'fermion' expects a FermionState")
-        return 2.0 * abs(quartic_form(to_freudenthal(state)))
-    if system == "qubit3":
-        arr = _as_system_array(system, np.asarray(state, dtype=complex))
-        return abs(quartic_tangle(to_freudenthal(three_qubit_to_fermion(arr))))
-    if system == "boson2q":
-        arr = _as_system_array(system, state)
-        return abs(quartic_tangle(boson2q_to_freudenthal(arr, check_norm=False)))
-    if system == "boson3":
-        arr = _as_system_array(system, state)
-        return abs(quartic_tangle(boson3_to_freudenthal(arr, check_norm=False)))
-    if system == "qubit_fermion4":
-        arr = _as_system_array(system, state)
-        return abs(quartic_tangle(to_freudenthal(qubit_fermion4_to_fermion(arr))))
-    raise ShapeError(f"no embedding-route invariant for system {system!r}")
+    spec = lookup_system(system)
+    if spec.embedded_tangle is None:
+        raise ShapeError(f"no embedding-route invariant for system {system!r}")
+    return spec.embedded_tangle(spec.native(state))
 
 
 # ---------------------------------------------------------------------------
 # Classification.
 # ---------------------------------------------------------------------------
-
-
-def _freudenthal_image(system: str, state) -> FreudenthalVector:
-    if system == "fermion":
-        return to_freudenthal(state)
-    arr = _as_system_array(system, state)
-    if system == "qubit3":
-        return three_qubit_to_freudenthal(arr)
-    if system == "boson2q":
-        return boson2q_to_freudenthal(arr, check_norm=False)
-    if system == "boson3":
-        return boson3_to_freudenthal(arr, check_norm=False)
-    return qubit_fermion4_to_freudenthal(arr)
 
 
 def _warn_if_close(ratios, what: str) -> None:
@@ -377,56 +408,41 @@ def _warn_if_close(ratios, what: str) -> None:
             return
 
 
-def _matrix_splits(matrix: np.ndarray, scale_sq: float, tol: float) -> bool:
-    """True when a factor-by-rest amplitude matrix has rank one."""
-    rows, cols = matrix.shape
+def _factoring_cuts(psi: MultiState, tol: float) -> tuple[Cut, ...]:
+    """The bipartitions of the species that ``psi`` factors across."""
+    return tuple(
+        bp
+        for bp in bipartitions(psi.shape.num_species)
+        if factors_across_cut(psi, bp[0], tol=tol)
+    )
+
+
+def _matrix_cut(spec: System, matrix: np.ndarray, tol: float) -> tuple[Cut, ...]:
+    """The one cut of a two-factor system whose canonical array is its
+    factor-by-rest matrix, when that matrix has rank one."""
+    rows = matrix.shape[0]
     worst = 0.0
     for r in range(rows):
         for s in range(r + 1, rows):
             minors = matrix[r, :, None] * matrix[s, None, :]
             worst = max(worst, float(np.abs(minors - minors.T).max()))
-    return worst <= tol * scale_sq
+    return (((1,), (2,)),) if worst <= tol * spec.norm_sq(matrix) else ()
 
 
-def _ranked_cut_pattern(system: str, arr, tol: float) -> tuple[Cut, ...]:
-    if system == "qubit3":
-        psi = multistate_from_tensor(arr)
-        return tuple(
-            bp for bp in bipartitions(3) if factors_across_cut(psi, bp[0], tol=tol)
-        )
-    if system == "boson2q":
-        scale = float(np.sum(_BOSON2Q_WEIGHTS * np.abs(arr) ** 2))
-        if _matrix_splits(arr, scale, tol):
-            return (((1,), (2,)),)
-        return ()
-    if system == "qubit_fermion4":
-        scale = float(np.linalg.norm(arr)) ** 2
-        if _matrix_splits(arr, scale, tol):
-            return (((1,), (2,)),)
-        return ()
-    # Indistinguishable constituents: no bipartition of factors exists.
-    return ()
-
-
-def _classify_ranked(system: str, state, tol: float) -> ClassLabel:
-    x = _freudenthal_image(system, state)
+def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
+    x = spec.freudenthal(state)
     if x.norm() == 0.0:
         raise ValueError("cannot classify the zero state")
     r, ratios = rank_margins(x, tol)
-    _warn_if_close(ratios, f"rank test for system {system!r}")
-    name = _RANK_NAMES[r]
-    if system == "boson3" and r == 2:
-        # The symmetric three-boson subspace has no biseparable orbit:
-        # its rank-two conditions already force a product state.
-        name = "separable"
+    _warn_if_close(ratios, f"rank test for system {spec.name!r}")
+    name = spec.rank_two if r == 2 else _RANK_NAMES[r]
     cuts: tuple[Cut, ...] = ()
-    if name == "biseparable":
-        arr = state if system == "fermion" else _as_system_array(system, state)
-        cuts = _ranked_cut_pattern(system, arr, tol)
-    if system == "fermion":  # invariant_for would rebuild this same image
-        tangle = abs(quartic_tangle(x))
+    if name == "biseparable" and spec.cuts is not None:
+        cuts = spec.cuts(spec, state, tol)
+    if spec.tangle is None:  # invariant_for would rebuild this same image
+        tangle = _abs_tangle(x)
     else:
-        tangle = invariant_for(system, state)
+        tangle = invariant_for(spec.name, state)
     report = {"tangle_abs": tangle}
     return ClassLabel(rank=r, name=name, cut_pattern=cuts, invariants_report=report)
 
@@ -457,12 +473,7 @@ def _classify_multi(psi: MultiState, tol: float) -> ClassLabel:
     report = _general_report(merged)
     if is_decomposable(merged, tol=tol):
         return ClassLabel(rank=None, name="separable", invariants_report=report)
-    n_species = psi.shape.num_species
-    cuts = tuple(
-        bp
-        for bp in bipartitions(n_species)
-        if factors_across_cut(psi, bp[0], tol=tol)
-    )
+    cuts = _factoring_cuts(psi, tol)
     if cuts:
         return ClassLabel(
             rank=None, name="biseparable", cut_pattern=cuts, invariants_report=report
@@ -479,19 +490,11 @@ def classify_state(system: str, state, tol: float = DEFAULT_TOL) -> ClassLabel:
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if system not in SYSTEMS:
-        raise ShapeError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    if system == "multi":
-        if not isinstance(state, MultiState):
-            raise ShapeError("system 'multi' expects a MultiState")
-        return _classify_multi(state, tol)
-    if system == "fermion":
-        if not isinstance(state, FermionState):
-            raise ShapeError("system 'fermion' expects a FermionState")
-        if (state.k, state.n) == (3, 6):
-            return _classify_ranked(system, state, tol)
-        return _classify_fermion_general(state, tol)
-    return _classify_ranked(system, state, tol)
+    spec = lookup_system(system)
+    state = spec.native(state)
+    if spec.has_image(state):
+        return _classify_ranked(spec, state, tol)
+    return spec.general(state, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +505,6 @@ def classify_state(system: str, state, tol: float = DEFAULT_TOL) -> ClassLabel:
 def _act_on_species(psi: MultiState, species_index: int, matrix: np.ndarray) -> MultiState:
     shape = psi.shape
     k_i, n_i = shape.species[species_index]
-    if matrix.shape != (n_i, n_i):
-        raise ShapeError(
-            f"species {species_index + 1} needs a {n_i}x{n_i} matrix, "
-            f"got {matrix.shape}"
-        )
     local = shape.local_keys(species_index + 1)
     position = {key: j for j, key in enumerate(local)}
     contexts: dict = {}
@@ -524,7 +522,14 @@ def _act_on_species(psi: MultiState, species_index: int, matrix: np.ndarray) -> 
     return MultiState(shape, amp)
 
 
-def _act_boson2q(b: np.ndarray, g_qubit: np.ndarray, g_boson: np.ndarray) -> np.ndarray:
+def _act_multi(psi: MultiState, mats: Sequence[np.ndarray]) -> MultiState:
+    for index, matrix in enumerate(mats):
+        psi = _act_on_species(psi, index, matrix)
+    return psi
+
+
+def _act_boson2q(b: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    g_qubit, g_boson = mats
     tensor = np.empty((2, 2, 2), dtype=complex)
     for j in range(2):
         for k in range(2):
@@ -537,7 +542,8 @@ def _act_boson2q(b: np.ndarray, g_qubit: np.ndarray, g_boson: np.ndarray) -> np.
     return out
 
 
-def _act_boson3(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _act_boson3(c: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    (g,) = mats
     tensor = np.empty((2, 2, 2), dtype=complex)
     for j in range(2):
         for k in range(2):
@@ -552,6 +558,19 @@ def _act_boson3(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _act_qubit_fermion4(d: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The action on packed pairs; a full 2x4x4 input gets a 2x4x4 result."""
+    g_qubit, g_modes = mats
+    moved = g_qubit @ _compound_columns(g_modes, pack_antisymmetric_pair(d).T, 2).T
+    if d.shape == moved.shape:
+        return moved
+    full = np.zeros((2, 4, 4), dtype=complex)
+    for column, (j, k) in enumerate(_PAIR_SLOTS):
+        full[:, j, k] = moved[:, column]
+        full[:, k, j] = -moved[:, column]
+    return full
+
+
 def slocc_act(state, element, system: Optional[str] = None):
     """Apply a SLOCC group element; the result has the input's format.
 
@@ -562,82 +581,28 @@ def slocc_act(state, element, system: Optional[str] = None):
     """
     if not isinstance(element, GroupElement):
         element = GroupElement(element)
-    mats = element.matrices
-
-    def need(count: int, kind: str):
-        if len(mats) != count:
-            raise ShapeError(f"{kind} takes {count} matrix(es), got {len(mats)}")
-
-    if isinstance(state, FermionState):
-        if system not in (None, "fermion"):
-            raise ShapeError(f"FermionState input contradicts system {system!r}")
-        need(1, "a fermionic state")
-        return apply_matrix(state, mats[0])
-    if isinstance(state, MultiState):
-        if system not in (None, "multi"):
-            raise ShapeError(f"MultiState input contradicts system {system!r}")
-        need(state.shape.num_species, "a multi-species state")
-        current = state
-        for index, matrix in enumerate(mats):
-            current = _act_on_species(current, index, matrix)
-        return current
-
-    arr = np.asarray(state, dtype=complex)
-    if arr.shape == (2, 2, 2):
-        inferred = "qubit3"
-    elif arr.shape == (2, 3):
-        inferred = "boson2q"
-    elif arr.shape == (4,):
-        inferred = "boson3"
-    elif arr.shape in ((2, 6), (2, 4, 4)):
-        inferred = "qubit_fermion4"
-    else:
-        raise ShapeError(f"no system has amplitude shape {arr.shape}")
-    if system not in (None, inferred):
-        raise ShapeError(f"shape {arr.shape} contradicts system {system!r}")
-
-    if inferred == "qubit3":
-        need(3, "a three-qubit state")
-        return np.einsum("ia,jb,kc,abc->ijk", mats[0], mats[1], mats[2], arr)
-    if inferred == "boson2q":
-        need(2, "a qubit + two-boson state")
-        if mats[0].shape != (2, 2) or mats[1].shape != (2, 2):
-            raise ShapeError("qubit + two-boson actions use two 2x2 matrices")
-        return _act_boson2q(arr, mats[0], mats[1])
-    if inferred == "boson3":
-        need(1, "a three-boson state")
-        if mats[0].shape != (2, 2):
-            raise ShapeError("three-boson actions use one 2x2 matrix")
-        return _act_boson3(arr, mats[0])
-    need(2, "a qubit + two-fermion state")
-    if mats[0].shape != (2, 2) or mats[1].shape != (4, 4):
-        raise ShapeError("qubit + two-fermion actions use a 2x2 and a 4x4 matrix")
-    packed = pack_antisymmetric_pair(arr)
-    moved = mats[0] @ _compound_columns(mats[1], packed.T, 2).T
-    if arr.shape == (2, 4, 4):
-        full = np.zeros((2, 4, 4), dtype=complex)
-        for (j, k), column in _PAIR_COLUMN.items():
-            full[:, j, k] = moved[:, column]
-            full[:, k, j] = -moved[:, column]
-        return full
-    return moved
-
-
-def _matrix_sizes(system: str, shape=None) -> tuple[int, ...]:
-    if system == "fermion":
-        n = 6 if shape is None else int(shape[1])
-        return (n,)
-    if system == "multi":
-        if shape is None:
-            raise ShapeError("system 'multi' needs an explicit species shape")
-        species = shape.species if isinstance(shape, SystemShape) else tuple(shape)
-        return tuple(int(n) for _, n in species)
-    return {
-        "qubit3": (2, 2, 2),
-        "boson2q": (2, 2),
-        "boson3": (2,),
-        "qubit_fermion4": (2, 4),
-    }[system]
+    if not isinstance(state, (FermionState, MultiState)):
+        state = np.asarray(state, dtype=complex)
+    spec = next(
+        (
+            s
+            for s in SYSTEM_TABLE.values()
+            if isinstance(state, s.kind)
+            and (s.kind is not np.ndarray or state.shape in s.shapes)
+        ),
+        None,
+    )
+    if spec is None:
+        raise ShapeError(f"no system has amplitude shape {state.shape}")
+    if system not in (None, spec.name):
+        raise ShapeError(f"{spec.name} input contradicts system {system!r}")
+    sizes = spec.matrix_sizes(state.shape)
+    got = tuple(m.shape[0] for m in element.matrices)
+    if got != sizes:
+        raise ShapeError(
+            f"system {spec.name!r} acts by matrices of sizes {sizes}, got {got}"
+        )
+    return spec.act(state, element.matrices)
 
 
 def random_group_element(
@@ -652,11 +617,11 @@ def random_group_element(
     singular draws are rejected and redrawn).  With ``unit_determinant``
     each matrix is rescaled onto its special linear group.
     """
-    if system not in SYSTEMS:
-        raise ShapeError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    spec = lookup_system(system)
+    sizes = spec.matrix_sizes(spec.shape_or_default(shape))
     rng = np.random.default_rng(seed)
     mats = []
-    for n in _matrix_sizes(system, shape):
+    for n in sizes:
         while True:
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             det = complex(np.linalg.det(m))
@@ -673,6 +638,28 @@ def random_group_element(
 # ---------------------------------------------------------------------------
 
 
+def _as_system_shape(shape) -> SystemShape:
+    return shape if isinstance(shape, SystemShape) else SystemShape(tuple(shape))
+
+
+def _draw_fermion(rng: np.random.Generator, shape) -> FermionState:
+    k, n = int(shape[0]), int(shape[1])
+    amp = {
+        key: complex(rng.normal(), rng.normal())
+        for key in itertools.combinations(range(1, n + 1), k)
+    }
+    return FermionState(k, n, amp)
+
+
+def _draw_multi(rng: np.random.Generator, shape) -> MultiState:
+    sys_shape = _as_system_shape(shape)
+    keys = itertools.product(
+        *(sys_shape.local_keys(i) for i in range(1, sys_shape.num_species + 1))
+    )
+    amp = {key: complex(rng.normal(), rng.normal()) for key in keys}
+    return MultiState(sys_shape, amp)
+
+
 def random_state(system: str, seed, shape=None):
     """Draw a random state of the system, normalized in its convention.
 
@@ -680,40 +667,125 @@ def random_state(system: str, seed, shape=None):
     normalized in their weighted (symmetric-monomial) norms, everything
     else in the plain Euclidean norm.  Deterministic in ``seed``.
     """
-    if system not in SYSTEMS:
-        raise ShapeError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    spec = lookup_system(system)
     rng = np.random.default_rng(seed)
-
-    def draw(size):
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
-
-    if system == "qubit3":
-        arr = draw((2, 2, 2))
-        return arr / np.linalg.norm(arr)
-    if system == "boson2q":
-        arr = draw((2, 3))
-        return arr / math.sqrt(float(np.sum(_BOSON2Q_WEIGHTS * np.abs(arr) ** 2)))
-    if system == "boson3":
-        arr = draw(4)
-        return arr / math.sqrt(float(np.sum(_BOSON3_WEIGHTS * np.abs(arr) ** 2)))
-    if system == "qubit_fermion4":
-        arr = draw((2, 6))
-        return arr / np.linalg.norm(arr)
-    if system == "fermion":
-        k, n = (3, 6) if shape is None else (int(shape[0]), int(shape[1]))
-        amp = {
-            key: complex(rng.normal(), rng.normal())
-            for key in itertools.combinations(range(1, n + 1), k)
-        }
-        psi = FermionState(k, n, amp)
+    if spec.draw is not None:
+        psi = spec.draw(rng, spec.shape_or_default(shape))
         return (1.0 / psi.norm()) * psi
-    # system == "multi"
-    if shape is None:
-        raise ShapeError("system 'multi' needs an explicit species shape")
-    sys_shape = shape if isinstance(shape, SystemShape) else SystemShape(tuple(shape))
-    keys = itertools.product(
-        *(sys_shape.local_keys(i) for i in range(1, sys_shape.num_species + 1))
+    size = spec.shapes[0]
+    arr = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if spec.weights is None:
+        return arr / np.linalg.norm(arr)
+    return arr / math.sqrt(spec.norm_sq(arr))
+
+
+# ---------------------------------------------------------------------------
+# The system table.  The Freudenthal images, apply_matrix and merge_species
+# are looked up by name when called (hence the lambdas), so that a wrapper
+# installed on this module's attribute sees every call.
+# ---------------------------------------------------------------------------
+
+
+def _abs_tangle(x: FreudenthalVector) -> float:
+    return abs(quartic_tangle(x))
+
+
+SYSTEM_TABLE: Mapping[str, System] = {
+    spec.name: spec
+    for spec in (
+        System(
+            "fermion", FermionState, ((3, 6),),
+            matrix_sizes=lambda shape: (int(shape[1]),),
+            act=lambda state, mats: apply_matrix(state, mats[0]),
+            fermion=lambda state: state,
+            multistate=lambda state: MultiState(
+                SystemShape((state.shape,)), {(key,): v for key, v in state.amplitudes.items()}
+            ),
+            freudenthal=lambda state: to_freudenthal(state),
+            embedded_tangle=lambda state: 2.0 * abs(quartic_form(to_freudenthal(state))),
+            general=_classify_fermion_general,
+            draw=_draw_fermion,
+        ),
+        System(
+            "multi", MultiState, (),
+            matrix_sizes=lambda shape: tuple(n for _, n in _as_system_shape(shape).species),
+            act=_act_multi,
+            fermion=lambda psi: merge_species(psi),
+            multistate=lambda psi: psi,
+            general=_classify_multi,
+            draw=_draw_multi,
+        ),
+        System(
+            "qubit3", np.ndarray, ((2, 2, 2),),
+            matrix_sizes=lambda shape: (2, 2, 2),
+            act=lambda a, mats: np.einsum("ia,jb,kc,abc->ijk", *mats, a),
+            fermion=three_qubit_to_fermion,
+            multistate=multistate_from_tensor,
+            freudenthal=lambda a: three_qubit_to_freudenthal(a),
+            tangle=three_tangle,
+            embedded_tangle=lambda a: _abs_tangle(to_freudenthal(three_qubit_to_fermion(a))),
+            cuts=lambda spec, a, tol: _factoring_cuts(spec.multistate(a), tol),
+        ),
+        System(
+            "boson2q", np.ndarray, ((2, 3),),
+            weights=np.array([1.0, 2.0, 1.0]),
+            matrix_sizes=lambda shape: (2, 2),
+            act=_act_boson2q,
+            fermion=lambda b: three_qubit_to_fermion(boson2q_to_three_qubit(b)),
+            freudenthal=lambda b: boson2q_to_freudenthal(b, check_norm=False),
+            tangle=_boson2q_tangle,
+            embedded_tangle=lambda b: _abs_tangle(boson2q_to_freudenthal(b, check_norm=False)),
+            cuts=_matrix_cut,
+        ),
+        System(
+            "boson3", np.ndarray, ((4,),),
+            weights=np.array([1.0, 3.0, 3.0, 1.0]),
+            matrix_sizes=lambda shape: (2,),
+            act=_act_boson3,
+            fermion=lambda c: three_qubit_to_fermion(
+                boson2q_to_three_qubit(boson3_to_boson2q(c))
+            ),
+            freudenthal=lambda c: boson3_to_freudenthal(c, check_norm=False),
+            tangle=_boson3_tangle,
+            embedded_tangle=lambda c: _abs_tangle(boson3_to_freudenthal(c, check_norm=False)),
+            # The symmetric three-boson subspace has no biseparable orbit:
+            # its rank-two conditions already force a product state.
+            rank_two="separable",
+        ),
+        System(
+            "qubit_fermion4", np.ndarray, ((2, 6), (2, 4, 4)),
+            canonical=pack_antisymmetric_pair,
+            matrix_sizes=lambda shape: (2, 4),
+            act=_act_qubit_fermion4,
+            fermion=qubit_fermion4_to_fermion,
+            multistate=lambda d: MultiState(
+                SystemShape(((1, 2), (2, 4))),
+                {
+                    ((bit + 1,), (a + 1, b + 1)): d[bit, column]
+                    for bit in range(2)
+                    for column, (a, b) in enumerate(_PAIR_SLOTS)
+                },
+            ),
+            freudenthal=lambda d: qubit_fermion4_to_freudenthal(d),
+            tangle=_qubit_fermion4_tangle,
+            embedded_tangle=lambda d: _abs_tangle(
+                to_freudenthal(qubit_fermion4_to_fermion(d))
+            ),
+            cuts=_matrix_cut,
+            # [bit, a, b] names the pair (a, b) of modes 0..3 and [bit, b, a]
+            # the same slot with the wedge sign.
+            file_keys={
+                (bit, *pair[::sign]): ((bit, column), sign)
+                for bit in range(2)
+                for column, pair in enumerate(_PAIR_SLOTS)
+                for sign in (1, -1)
+            },
+        ),
     )
-    amp = {key: complex(rng.normal(), rng.normal()) for key in keys}
-    psi = MultiState(sys_shape, amp)
-    return (1.0 / psi.norm()) * psi
+}
+
+#: System identifiers accepted throughout this module and by the CLI.
+SYSTEMS = tuple(SYSTEM_TABLE)
+
+#: Systems classified through the rank of their Freudenthal image.
+RANKED_SYSTEMS = tuple(s.name for s in SYSTEM_TABLE.values() if s.freudenthal)

@@ -31,6 +31,8 @@ import numpy as np
 
 from .classify import (
     RANKED_SYSTEMS,
+    SYSTEM_TABLE,
+    SYSTEMS,
     DegeneracyWarning,
     classify_state,
     invariant_for,
@@ -38,28 +40,15 @@ from .classify import (
     random_state,
     slocc_act,
 )
-from .embed import (
-    MultiState,
-    SystemShape,
-    boson2q_to_three_qubit,
-    boson3_to_boson2q,
-    embedded_rdm_blocks,
-    merge_species,
-    multistate_from_tensor,
-    qubit_fermion4_to_fermion,
-    rdm_direct_sum,
-    three_qubit_to_fermion,
-)
+from .embed import MultiState, embedded_rdm_blocks, merge_species, rdm_direct_sum
 from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
     idempotency_defect,
-    is_decomposable,
     one_particle_rdm,
     pluecker_scan,
     pluecker_violations,
-    to_freudenthal,
     wedge_power_norm,
 )
 from .statefile import StateFile, StateParseError, dump_state_text, load_state_file
@@ -68,9 +57,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_DEGENERATE = 4
-
-_PAIR_SLOTS_4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 
 class _Failure(Exception):
     """Internal: abort the current command with a message and exit code."""
@@ -110,24 +96,6 @@ def _load(path) -> StateFile:
         raise _Failure(f"{path}: {exc}", EXIT_PARSE) from None
 
 
-def _fermionic_image(statefile: StateFile) -> FermionState:
-    system, state = statefile.system, statefile.state
-    if system == "fermion":
-        return state
-    if system == "multi":
-        return merge_species(state)
-    if system == "qubit3":
-        return three_qubit_to_fermion(state)
-    if system == "qubit_fermion4":
-        return qubit_fermion4_to_fermion(state)
-    if system == "boson2q":
-        return three_qubit_to_fermion(boson2q_to_three_qubit(state))
-    # boson3
-    return three_qubit_to_fermion(
-        boson2q_to_three_qubit(boson3_to_boson2q(state))
-    )
-
-
 def _complex_str(value: complex) -> str:
     return f"{value.real:+.6f}{value.imag:+.6f}j"
 
@@ -156,11 +124,10 @@ def _cmd_invariant(args) -> int:
     statefile = _load(args.file)
     tol = _tolerance(args)
     system, state = statefile.system, statefile.state
+    spec = SYSTEM_TABLE[system]
     lines = [f"system: {system}"]
     payload: dict = {"system": system}
-    if system in RANKED_SYSTEMS and not (
-        system == "fermion" and (state.k, state.n) != (3, 6)
-    ):
+    if spec.has_image(state):
         direct = invariant_for(system, state)
         embedded = invariant_via_embedding(system, state)
         difference = abs(direct - embedded)
@@ -180,7 +147,7 @@ def _cmd_invariant(args) -> int:
             rank=label.rank,
         )
     else:
-        merged = _fermionic_image(statefile)
+        merged = spec.fermion(state)
         lines.append(
             "no quartic invariant for this shape "
             f"(fermionic image: {merged.k} particles in {merged.n} modes)"
@@ -278,11 +245,15 @@ def _cmd_classify(args) -> int:
 def _cmd_pluecker(args) -> int:
     statefile = _load(args.file)
     tol = _tolerance(args)
-    merged = _fermionic_image(statefile)
+    merged = SYSTEM_TABLE[statefile.system].fermion(statefile.state)
     if merged.is_zero():
         raise _Failure("cannot scan the zero state", EXIT_SHAPE)
     worst, pair = pluecker_scan(merged)
-    decomposable = is_decomposable(merged, tol=tol)
+    # is_decomposable's test on the same scan; a relation within tolerance
+    # is roundoff, so its position is no witness.
+    decomposable = worst <= tol * merged.norm() ** 2
+    if decomposable:
+        pair = None
     lines = [
         f"fermionic image: {merged.k} particles in {merged.n} modes",
         f"max |relation| = {worst:.3e}"
@@ -314,27 +285,11 @@ def _cmd_pluecker(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _as_multistate(statefile: StateFile) -> MultiState:
-    system, state = statefile.system, statefile.state
-    if system == "multi":
-        return state
-    if system == "qubit3":
-        return multistate_from_tensor(state)
-    # qubit_fermion4: one qubit species and one two-fermion species.
-    shape = SystemShape(((1, 2), (2, 4)))
-    amp = {}
-    for bit in range(2):
-        for column, (a, b) in enumerate(_PAIR_SLOTS_4):
-            value = state[bit, column]
-            if value != 0:
-                amp[((bit + 1,), (a + 1, b + 1))] = value
-    return MultiState(shape, amp)
-
-
 def _cmd_rdm(args) -> int:
     statefile = _load(args.file)
     system = statefile.system
-    if system in ("boson2q", "boson3"):
+    spec = SYSTEM_TABLE[system]
+    if spec.multistate is None:
         raise _Failure(
             f"system {system!r} has no fermionic one-particle reduction; "
             "the mode-occupation picture does not apply to symmetric factors",
@@ -343,7 +298,7 @@ def _cmd_rdm(args) -> int:
     state = statefile.state
     lines = []
     payload: dict = {"system": system}
-    if system == "fermion":
+    if isinstance(state, FermionState):
         norm = state.norm()
         if norm == 0.0:
             raise _Failure("cannot reduce the zero state", EXIT_SHAPE)
@@ -357,7 +312,7 @@ def _cmd_rdm(args) -> int:
             rho=_matrix_payload(rho), idempotency_defect=defect
         )
     else:
-        psi = _as_multistate(statefile)
+        psi = spec.multistate(state)
         norm = psi.norm()
         if norm == 0.0:
             raise _Failure("cannot reduce the zero state", EXIT_SHAPE)
@@ -450,9 +405,7 @@ def _cmd_act(args) -> int:
         raise _Failure(str(exc), EXIT_SHAPE) from None
     except ValueError as exc:
         raise _Failure(str(exc), EXIT_SHAPE) from None
-    text = dump_state_text(
-        StateFile(statefile.system, moved, check_norm=statefile.check_norm)
-    )
+    text = dump_state_text(StateFile(statefile.system, moved))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -470,14 +423,14 @@ def _parse_shape_option(system: str, text):
     if text is None:
         return None
     try:
-        if system == "multi":
-            species = []
-            for chunk in text.split(";"):
-                k, n = chunk.split(",")
-                species.append((int(k), int(n)))
+        species = []
+        for chunk in text.split(";"):
+            k, n = chunk.split(",")
+            species.append((int(k), int(n)))
+        if SYSTEM_TABLE[system].kind is MultiState:
             return tuple(species)
-        k, n = text.split(",")
-        return (int(k), int(n))
+        (shape,) = species
+        return shape
     except (ValueError, AttributeError):
         raise _Failure(
             f"malformed --shape {text!r}; use 'k,n' or 'k,n;k,n;...'",
@@ -662,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rnd.add_argument(
         "--system",
         required=True,
-        choices=["fermion", "multi", "qubit3", "boson2q", "boson3", "qubit_fermion4"],
+        choices=SYSTEMS,
     )
     p_rnd.add_argument(
         "--shape", help="'k,n' for fermion, 'k,n;k,n;...' for multi"

@@ -14,10 +14,7 @@ criterion for all-qubit shapes (``qubit_separability_direct``) and a
 factorization test for any grouping of the species
 (``factors_across_cut``).  The one-particle reduced density matrix of the
 merged state is the weighted direct sum of the per-species ones
-(``embedded_rdm_blocks`` / ``rdm_direct_sum``).  ``merge_qudits`` is the
-variant for N single-particle d-level species whose mode labels follow
-the stride-d rule rather than block offsets; on those shapes the two
-rules coincide.
+(``embedded_rdm_blocks`` / ``rdm_direct_sum``).
 
 The specific layer maps the four distinguishable-constituent systems tied
 to the triple-system classification — three qubits, a qubit with two
@@ -62,7 +59,6 @@ __all__ = [
     "MultiState",
     "NormalizationWarning",
     "merge_species",
-    "merge_qudits",
     "multistate_from_tensor",
     "tensor_from_multistate",
     "separability_via_embedding",
@@ -137,11 +133,6 @@ class SystemShape:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(math.comb(n, k) for k, n in self.species)
-
-    def is_qudit_uniform(self) -> bool:
-        return all(k == 1 for k, _ in self.species) and len(
-            {n for _, n in self.species}
-        ) == 1
 
 
 class MultiState:
@@ -271,25 +262,6 @@ def merge_species(psi: MultiState) -> FermionState:
         for key, value in psi._amp.items()
     }
     return FermionState(shape.total_particles, shape.total_modes, amp)
-
-
-def merge_qudits(psi: MultiState) -> FermionState:
-    """Variant for N qudits (every species one particle in d modes): state
-    i_j of the j-th qudit becomes mode (j-1)d + i_j.  Implemented by its
-    own stride rule, though on these uniform shapes it agrees with
-    merge_species."""
-    shape = psi.shape
-    if not shape.is_qudit_uniform():
-        raise ShapeError(
-            "qudit merging needs every species to hold one particle in a "
-            "common number of modes"
-        )
-    d = shape.species[0][1]
-    amp = {
-        tuple(j * d + part[0] for j, part in enumerate(key)): value
-        for key, value in psi._amp.items()
-    }
-    return FermionState(shape.num_species, shape.num_species * d, amp)
 
 
 def multistate_from_tensor(tensor: np.ndarray) -> MultiState:

@@ -130,6 +130,11 @@ class FermionState:
     def amplitudes(self) -> Mapping[Key, complex]:
         return MappingProxyType(self._amp)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(k, n), the shape a state file or ``random_state`` names."""
+        return (self.k, self.n)
+
     def amplitude(self, seq: Sequence[int]) -> complex:
         """Signed amplitude for an arbitrary-order mode sequence."""
         sign, key = sort_sign(seq)

@@ -8,7 +8,6 @@ Schema::
       "shape":  [k, n]                  for "fermion"   (optional, default [3, 6])
                 [[k1, n1], [k2, n2]...] for "multi"     (required)
                 fixed per system        otherwise       (optional, validated)
-      "check_norm": true | false        (optional, default true)
       "amplitudes": [ {"key": ..., "re": float, "im": float}, ... ]
     }
 
@@ -32,6 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .classify import System, lookup_system
 from .embed import MultiState, SystemShape
 from .fermion import FermionState, ShapeError, sort_sign
 
@@ -42,18 +42,6 @@ __all__ = [
     "load_state_file",
     "parse_state_text",
 ]
-
-_DENSE_SHAPES = {
-    "qubit3": (2, 2, 2),
-    "boson2q": (2, 3),
-    "boson3": (4,),
-    "qubit_fermion4": (2, 6),
-}
-
-_SYSTEMS = ("fermion", "multi") + tuple(_DENSE_SHAPES)
-
-_PAIR_SLOTS_4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_INDEX_4 = {pair: column for column, pair in enumerate(_PAIR_SLOTS_4)}
 
 State = Union[FermionState, MultiState, np.ndarray]
 
@@ -74,11 +62,10 @@ class StateParseError(ValueError):
 
 @dataclass(frozen=True)
 class StateFile:
-    """A parsed state file: the system tag, the state, and its options."""
+    """A parsed state file: the system tag and the state."""
 
     system: str
     state: State
-    check_norm: bool = True
 
 
 def _entry_line(text: str, index: int) -> Optional[int]:
@@ -161,9 +148,7 @@ def _fold_modes(modes, index: int):
     return sign, ordered
 
 
-def _parse_fermion(shape, amplitudes, text: str) -> FermionState:
-    if shape is None:
-        shape = [3, 6]
+def _parse_fermion(spec: System, shape, amplitudes, text: str) -> FermionState:
     if (
         not isinstance(shape, list)
         or len(shape) != 2
@@ -193,9 +178,7 @@ def _parse_fermion(shape, amplitudes, text: str) -> FermionState:
     return FermionState(k, n, amp)
 
 
-def _parse_multi(shape, amplitudes, text: str) -> MultiState:
-    if shape is None:
-        raise ShapeError("system 'multi' requires an explicit shape")
+def _parse_multi(spec: System, shape, amplitudes, text: str) -> MultiState:
     if not isinstance(shape, list) or not all(
         isinstance(s, list)
         and len(s) == 2
@@ -237,13 +220,14 @@ def _parse_multi(shape, amplitudes, text: str) -> MultiState:
     return MultiState(sys_shape, amp)
 
 
-def _parse_dense(system: str, shape, amplitudes, text: str) -> np.ndarray:
-    expected = _DENSE_SHAPES[system]
-    if shape is not None and (not isinstance(shape, list) or tuple(shape) != expected):
+def _parse_dense(spec: System, shape, amplitudes, text: str) -> np.ndarray:
+    expected = spec.shapes[0]
+    if not isinstance(shape, list) or tuple(shape) != expected:
         raise ShapeError(
-            f"system {system!r} has fixed shape {list(expected)}, got {shape!r}"
+            f"system {spec.name!r} has fixed shape {list(expected)}, got {shape!r}"
         )
     arr = np.zeros(expected, dtype=complex)
+    keys = _file_keys(spec)
     seen: set = set()
     for index, entry in enumerate(amplitudes):
         with _located(text, index):
@@ -255,50 +239,20 @@ def _parse_dense(system: str, shape, amplitudes, text: str) -> np.ndarray:
                 raise StateParseError(
                     f"amplitude #{index}: key must be a list of integers"
                 )
-            if system == "qubit_fermion4":
-                if len(key) != 3:
-                    raise StateParseError(
-                        f"amplitude #{index}: key must be [bit, mode, mode]"
-                    )
-                bit, a, b = key
-                if bit not in (0, 1):
-                    raise StateParseError(
-                        f"amplitude #{index}: qubit bit must be 0 or 1"
-                    )
-                if not (0 <= a <= 3 and 0 <= b <= 3):
-                    raise StateParseError(
-                        f"amplitude #{index}: fermionic modes must lie in 0..3"
-                    )
-                if a == b:
-                    raise StateParseError(
-                        f"amplitude #{index}: repeated mode in key"
-                    )
-                if a > b:
-                    a, b, value = b, a, -value
-                slot = (bit, _PAIR_INDEX_4[(a, b)])
-                if slot in seen:
-                    raise StateParseError(
-                        f"amplitude #{index}: duplicate key {key}"
-                    )
-                seen.add(slot)
-                arr[slot] = value
-                continue
-            if len(key) != len(expected):
+            if tuple(key) not in keys:
                 raise StateParseError(
-                    f"amplitude #{index}: key must have {len(expected)} "
-                    f"entries for {system}",
+                    f"amplitude #{index}: {key} is not a {spec.name} key "
+                    f"(keys index shape {list(spec.shapes[-1])})",
                 )
-            if not all(0 <= v < bound for v, bound in zip(key, expected)):
-                raise StateParseError(
-                    f"amplitude #{index}: key {key} out of range for "
-                    f"shape {list(expected)}",
-                )
-            slot = tuple(key)
+            slot, sign = keys[tuple(key)]
             if slot in seen:
                 raise StateParseError(f"amplitude #{index}: duplicate key {key}")
             seen.add(slot)
-            arr[slot] = value
+            arr[slot] = value if sign > 0 else -value
     return arr
+
+
+_PARSERS = {FermionState: _parse_fermion, MultiState: _parse_multi, np.ndarray: _parse_dense}
 
 
 def parse_state_text(text: str) -> StateFile:
@@ -309,25 +263,17 @@ def parse_state_text(text: str) -> StateFile:
         raise StateParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(payload, dict):
         raise StateParseError("state file must be a JSON object")
-    system = payload.get("system")
-    if system not in _SYSTEMS:
-        raise ShapeError(
-            f"unknown system {system!r}; expected one of {list(_SYSTEMS)}"
-        )
-    check_norm = payload.get("check_norm", True)
-    if not isinstance(check_norm, bool):
-        raise StateParseError("'check_norm' must be a boolean")
+    spec = lookup_system(payload.get("system"))
     amplitudes = payload.get("amplitudes")
     if not isinstance(amplitudes, list):
         raise StateParseError("'amplitudes' must be a list")
     shape = payload.get("shape")
-    if system == "fermion":
-        state: State = _parse_fermion(shape, amplitudes, text)
-    elif system == "multi":
-        state = _parse_multi(shape, amplitudes, text)
-    else:
-        state = _parse_dense(system, shape, amplitudes, text)
-    return StateFile(system=system, state=state, check_norm=check_norm)
+    if shape is None:
+        if not spec.shapes:
+            raise ShapeError(f"system {spec.name!r} requires an explicit shape")
+        shape = list(spec.shapes[0])
+    state = _PARSERS[spec.kind](spec, shape, amplitudes, text)
+    return StateFile(system=spec.name, state=state)
 
 
 def load_state_file(path) -> StateFile:
@@ -335,47 +281,30 @@ def load_state_file(path) -> StateFile:
         return parse_state_text(handle.read())
 
 
-def _dense_entries(system: str, arr: np.ndarray):
-    if system == "qubit_fermion4":
-        for bit in range(2):
-            for column, (a, b) in enumerate(_PAIR_SLOTS_4):
-                value = arr[bit, column]
-                if value != 0:
-                    yield [bit, a, b], value
-        return
-    for slot in np.ndindex(arr.shape):
-        value = arr[slot]
-        if value != 0:
-            yield [int(v) for v in slot], value
+def _file_keys(spec: System) -> dict:
+    """State-file key -> (canonical slot, sign); plain indices by default."""
+    return spec.file_keys or {idx: (idx, 1) for idx in np.ndindex(spec.shapes[0])}
 
 
 def dump_state_text(statefile: StateFile) -> str:
     """Serialize to the JSON schema; inverse of :func:`parse_state_text`."""
-    system = statefile.system
-    state = statefile.state
-    payload: dict = {"system": system}
+    spec = lookup_system(statefile.system)
+    state = spec.native(statefile.state)
+    payload: dict = {"system": spec.name}
     entries = []
-    if system == "fermion":
-        assert isinstance(state, FermionState)
+    if spec.kind is FermionState:
         payload["shape"] = [state.k, state.n]
         for key in sorted(state.amplitudes):
             entries.append((list(key), state.amplitudes[key]))
-    elif system == "multi":
-        assert isinstance(state, MultiState)
+    elif spec.kind is MultiState:
         payload["shape"] = [list(s) for s in state.shape.species]
         for key in sorted(state.amplitudes):
             entries.append(([list(part) for part in key], state.amplitudes[key]))
     else:
-        arr = np.asarray(state, dtype=complex)
-        if arr.shape != _DENSE_SHAPES[system]:
-            raise ShapeError(
-                f"system {system!r} expects shape {_DENSE_SHAPES[system]}, "
-                f"got {arr.shape}"
-            )
-        payload["shape"] = list(_DENSE_SHAPES[system])
-        entries.extend(_dense_entries(system, arr))
-    if not statefile.check_norm:
-        payload["check_norm"] = False
+        payload["shape"] = list(spec.shapes[0])
+        for key, (slot, sign) in _file_keys(spec).items():
+            if sign > 0 and state[slot] != 0:
+                entries.append((list(key), state[slot]))
     payload["amplitudes"] = [
         {"key": key, "re": float(value.real), "im": float(value.imag)}
         for key, value in entries

@@ -28,7 +28,6 @@ from freudenthal.embed import (
     boson2q_to_freudenthal,
     boson3_to_freudenthal,
     embedded_rdm_blocks,
-    merge_qudits,
     merge_species,
     multistate_from_tensor,
     qubit_fermion4_to_fermion,
@@ -188,16 +187,16 @@ def test_05_four_qubit_class_splitting():
 def test_06_wedge_power_reference_values():
     with criterion(6, "wedge-power invariant hits its closed-form values"):
         ghz2 = multistate_from_tensor(np.eye(2, dtype=complex) / math.sqrt(2.0))
-        assert abs(wedge_power_norm(merge_qudits(ghz2)) - 1.0) <= 1e-9
+        assert abs(wedge_power_norm(merge_species(ghz2)) - 1.0) <= 1e-9
         ghz3 = multistate_from_tensor(np.eye(3, dtype=complex) / math.sqrt(3.0))
         expected = 6.0 * 3.0 ** -1.5
-        assert abs(wedge_power_norm(merge_qudits(ghz3)) - expected) <= 1e-9
+        assert abs(wedge_power_norm(merge_species(ghz3)) - expected) <= 1e-9
         for parties in (4, 6):
             w = np.zeros((2,) * parties, dtype=complex)
             for i in range(parties):
                 idx = tuple(1 if j == i else 0 for j in range(parties))
                 w[idx] = parties ** -0.5
-            image = merge_qudits(multistate_from_tensor(w))
+            image = merge_species(multistate_from_tensor(w))
             assert wedge_power_norm(image) <= 1e-12
 
 
@@ -231,7 +230,7 @@ def test_07_rdm_direct_sum_and_idempotency():
             qubit_fermion4_to_fermion(
                 np.array([[half, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, half]])
             ),
-            merge_qudits(
+            merge_species(
                 multistate_from_tensor(np.eye(2, dtype=complex) * half)
             ),
         ]

@@ -18,7 +18,6 @@ from freudenthal.embed import (
     boson3_to_freudenthal,
     embedded_rdm_blocks,
     factors_across_cut,
-    merge_qudits,
     merge_species,
     multistate_from_tensor,
     pack_antisymmetric_pair,
@@ -84,8 +83,6 @@ class TestShapesAndStates:
         assert shape.total_modes == 9
         assert shape.offsets == (0, 4, 7)
         assert shape.dims == (6, 3, 2)
-        assert not shape.is_qudit_uniform()
-        assert SystemShape(((1, 3), (1, 3))).is_qudit_uniform()
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -148,25 +145,11 @@ class TestMerging:
     def test_qudit_rule_frozen_examples(self):
         two = SystemShape(((1, 2), (1, 2)))
         basis = MultiState(two, {((1,), (2,)): 1.0})
-        assert dict(merge_qudits(basis).amplitudes) == {(1, 4): 1.0}
+        assert dict(merge_species(basis).amplitudes) == {(1, 4): 1.0}
         ghz = MultiState(two, {((1,), (1,)): 1 / SQRT2, ((2,), (2,)): 1 / SQRT2})
-        assert dict(merge_qudits(ghz).amplitudes) == pytest.approx(
+        assert dict(merge_species(ghz).amplitudes) == pytest.approx(
             {(1, 3): 1 / SQRT2, (2, 4): 1 / SQRT2}
         )
-
-    def test_qudit_rule_matches_block_rule_on_uniform_shapes(self, rng):
-        shape = SystemShape(((1, 3), (1, 3), (1, 3)))
-        psi = random_multistate(shape, rng)
-        a, b = merge_qudits(psi), merge_species(psi)
-        assert all(
-            abs(a.amplitude(k) - b.amplitude(k)) < 1e-12 for k in a.amplitudes
-        )
-
-    def test_qudit_rule_shape_guard(self):
-        with pytest.raises(ShapeError):
-            merge_qudits(MultiState(SystemShape(((1, 2), (1, 3))), {}))
-        with pytest.raises(ShapeError):
-            merge_qudits(MultiState(SystemShape(((2, 4),)), {}))
 
 
 class TestSeparability:

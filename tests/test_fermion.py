@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex, random_fermion_amplitudes
-from freudenthal.cli import _fermionic_image
+from freudenthal.classify import SYSTEM_TABLE
 from freudenthal.fermion import (
     FermionState,
     ShapeError,
@@ -528,7 +528,8 @@ class TestScanTables:
     def test_corpus_witnesses_match_entrywise_builder(self):
         corpus = importlib.resources.files("freudenthal") / "corpus"
         for path in sorted(corpus.iterdir()):
-            P = _fermionic_image(load_state_file(str(path)))
+            sf = load_state_file(str(path))
+            P = SYSTEM_TABLE[sf.system].fermion(sf.state)
             pairs, first, second, sign = reference_scan_tables(P.k, P.n)
             vec = np.zeros(math.comb(P.n, P.k) + 1, dtype=complex)
             for r, key in enumerate(itertools.combinations(range(1, P.n + 1), P.k)):

@@ -72,14 +72,6 @@ class TestStateFileRoundTrip:
             assert np.array_equal(parsed.state, arr), system
             assert dump_state_text(parsed) == text
 
-    def test_check_norm_flag(self):
-        arr = np.zeros(4, dtype=complex)
-        arr[0] = 2.0
-        text = dump_state_text(StateFile("boson3", arr, check_norm=False))
-        parsed = parse_state_text(text)
-        assert parsed.check_norm is False
-        assert '"check_norm": false' in text
-
     def test_corpus_ships_and_parses(self):
         names = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".json"))
         assert len(names) == 24
@@ -377,6 +369,23 @@ class TestCliPluecker:
             code, out, _ = run_cli(capsys, "classify", path, "--json")
             label = json.loads(out)
             assert scan["decomposable"] == (label["name"] == "separable")
+
+    def test_separable_files_name_no_witness(self, capsys):
+        # Every relation of a decomposable state is roundoff, so no pair
+        # witnesses anything.
+        separable = 0
+        for path in sorted(CORPUS.iterdir()):
+            code, out, _ = run_cli(capsys, "classify", str(path), "--json")
+            if json.loads(out)["name"] != "separable":
+                continue
+            separable += 1
+            code, out, _ = run_cli(capsys, "pluecker", str(path), "--json")
+            scan = json.loads(out)
+            assert code == 0 and scan["decomposable"], path.name
+            assert scan["argmax_pair"] is None, path.name
+            code, out, _ = run_cli(capsys, "pluecker", str(path))
+            assert " at " not in out, path.name
+        assert separable == 5
 
     def test_violation_listing(self, capsys):
         code, out, _ = run_cli(

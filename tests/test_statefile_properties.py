@@ -40,7 +40,7 @@ def fermion_files(draw):
     keys = list(itertools.combinations(range(1, n + 1), k))
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
     amp = {key: draw(amplitude) for key in chosen}
-    return StateFile("fermion", FermionState(k, n, amp), draw(st.booleans()))
+    return StateFile("fermion", FermionState(k, n, amp))
 
 
 @st.composite
@@ -57,7 +57,7 @@ def multi_files(draw):
     )
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))
     amp = {key: draw(amplitude) for key in chosen}
-    return StateFile("multi", MultiState(shape, amp), draw(st.booleans()))
+    return StateFile("multi", MultiState(shape, amp))
 
 
 @st.composite
@@ -72,7 +72,7 @@ def dense_files(draw):
         )
     )
     arr = np.array(values, dtype=complex).reshape(shape)
-    return StateFile(system, arr, draw(st.booleans()))
+    return StateFile(system, arr)
 
 
 class TestRoundTrip:
@@ -82,7 +82,6 @@ class TestRoundTrip:
         text = dump_state_text(statefile)
         parsed = parse_state_text(text)
         assert parsed.system == statefile.system
-        assert parsed.check_norm == statefile.check_norm
         if isinstance(statefile.state, np.ndarray):
             assert np.array_equal(parsed.state, statefile.state)
         else:

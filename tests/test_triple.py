@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from freudenthal.classify import (
-    RANKED_SYSTEMS,
-    _freudenthal_image,
+    SYSTEM_TABLE,
     random_group_element,
     slocc_act,
 )
@@ -356,14 +355,14 @@ def _parity_inputs() -> list[FreudenthalVector]:
     corpus = importlib.resources.files("freudenthal") / "corpus"
     for path in sorted(corpus.iterdir()):
         sf = load_state_file(str(path))
-        if sf.system in RANKED_SYSTEMS and (
-            sf.system != "fermion" or (sf.state.k, sf.state.n) == (3, 6)
-        ):
-            inputs.append(_freudenthal_image(sf.system, sf.state))
+        spec = SYSTEM_TABLE[sf.system]
+        if spec.has_image(sf.state):
+            inputs.append(spec.freudenthal(sf.state))
     for rep in all_representatives():
         for seed in range(3):
             g = random_group_element(rep.system, seed)
-            inputs.append(_freudenthal_image(rep.system, slocc_act(rep.state, g)))
+            spec = SYSTEM_TABLE[rep.system]
+            inputs.append(spec.freudenthal(slocc_act(rep.state, g)))
     for _ in range(3):
         inputs += _structured_j3(rng)
     for kind in ALL_KINDS:
