@@ -52,7 +52,6 @@ from .fermion import (
     FermionState,
     ShapeError,
     apply_matrix,
-    decomposability_oracle,
     from_freudenthal,
     idempotency_defect,
     is_decomposable,

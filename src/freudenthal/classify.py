@@ -47,6 +47,7 @@ from .embed import (
     _PAIR_SLOTS,
     MultiState,
     SystemShape,
+    _is_rank_one,
     bipartitions,
     boson2q_to_freudenthal,
     boson2q_to_three_qubit,
@@ -165,8 +166,11 @@ class System:
         return self.freudenthal is not None and state.shape in self.shapes
 
     def shape_or_default(self, shape):
-        """``shape``, or the default one when it is ``None``."""
+        """``shape`` (for a dense system one of ``shapes``), or the default
+        one when it is ``None``."""
         if shape is not None:
+            if self.kind is np.ndarray and tuple(shape) not in self.shapes:
+                raise ShapeError(f"system {self.name!r} has no shape {tuple(shape)}")
             return shape
         if not self.shapes:
             raise ShapeError(f"system {self.name!r} needs an explicit species shape")
@@ -419,14 +423,9 @@ def _factoring_cuts(psi: MultiState, tol: float) -> tuple[Cut, ...]:
 
 def _matrix_cut(spec: System, matrix: np.ndarray, tol: float) -> tuple[Cut, ...]:
     """The one cut of a two-factor system whose canonical array is its
-    factor-by-rest matrix, when that matrix has rank one."""
-    rows = matrix.shape[0]
-    worst = 0.0
-    for r in range(rows):
-        for s in range(r + 1, rows):
-            minors = matrix[r, :, None] * matrix[s, None, :]
-            worst = max(worst, float(np.abs(minors - minors.T).max()))
-    return (((1,), (2,)),) if worst <= tol * spec.norm_sq(matrix) else ()
+    factor-by-rest matrix, when that matrix has rank one against tol times
+    the squared norm in the system's convention."""
+    return (((1,), (2,)),) if _is_rank_one(matrix, tol * spec.norm_sq(matrix)) else ()
 
 
 def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
@@ -668,9 +667,10 @@ def random_state(system: str, seed, shape=None):
     else in the plain Euclidean norm.  Deterministic in ``seed``.
     """
     spec = lookup_system(system)
+    shape = spec.shape_or_default(shape)
     rng = np.random.default_rng(seed)
     if spec.draw is not None:
-        psi = spec.draw(rng, spec.shape_or_default(shape))
+        psi = spec.draw(rng, shape)
         return (1.0 / psi.norm()) * psi
     size = spec.shapes[0]
     arr = rng.normal(size=size) + 1j * rng.normal(size=size)

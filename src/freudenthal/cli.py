@@ -249,8 +249,8 @@ def _cmd_pluecker(args) -> int:
     if merged.is_zero():
         raise _Failure("cannot scan the zero state", EXIT_SHAPE)
     worst, pair = pluecker_scan(merged)
-    # is_decomposable's test on the same scan; a relation within tolerance
-    # is roundoff, so its position is no witness.
+    # The Plücker verdict (is_decomposable decides by kernel rank); a
+    # relation within tolerance is roundoff, so its position is no witness.
     decomposable = worst <= tol * merged.norm() ** 2
     if decomposable:
         pair = None

@@ -7,14 +7,13 @@ stores a state of N species (k_i particles in n_i modes each) and
 ``merge_species`` maps it isometrically into the (sum k_i)-th wedge power
 of the direct-sum mode space by shifting each species' modes past the
 previous blocks.  A state is a tensor product of per-species decomposable
-factors exactly when its merged image is decomposable, so the Plücker
-relations decide separability for arbitrary such systems
-(``separability_via_embedding``), with an explicit amplitude-pair
-criterion for all-qubit shapes (``qubit_separability_direct``) and a
-factorization test for any grouping of the species
-(``factors_across_cut``).  The one-particle reduced density matrix of the
-merged state is the weighted direct sum of the per-species ones
-(``embedded_rdm_blocks`` / ``rdm_direct_sum``).
+factors exactly when its merged image is decomposable (by kernel rank, or
+the paper's Plücker relations): ``separability_via_embedding``.  One
+rank-one test of a flattening of the dense tensor decides every
+one-vs-rest cut of all-qubit shapes (``qubit_separability_direct``) and
+any grouping of the species (``factors_across_cut``).  The one-particle
+reduced density matrix of the merged state is the weighted direct sum of
+the per-species ones (``embedded_rdm_blocks`` / ``rdm_direct_sum``).
 
 The specific layer maps the four distinguishable-constituent systems tied
 to the triple-system classification — three qubits, a qubit with two
@@ -46,6 +45,7 @@ from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
+    _key_index,
     _rdm_numerator,
     is_decomposable,
     one_particle_rdm,
@@ -143,7 +143,7 @@ class MultiState:
     in its mode 1 and the second species' pair in its modes 2 and 3.
     """
 
-    __slots__ = ("shape", "_amp")
+    __slots__ = ("shape", "_amp", "_tensor")
 
     def __init__(self, shape: SystemShape, amplitudes: Mapping[MultiKey, complex]):
         if not isinstance(shape, SystemShape):
@@ -159,6 +159,7 @@ class MultiState:
                 amp[key] = value
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_tensor", None)
 
     @staticmethod
     def _validate_key(shape: SystemShape, key: MultiKey) -> None:
@@ -254,14 +255,15 @@ def merge_species(psi: MultiState) -> FermionState:
     """Map each key (S_1, ..., S_N) to the union of the S_i shifted past the
     preceding species' blocks, keeping the amplitude.  Blocks are disjoint
     and ordered, so the global key is already sorted and no parity signs
-    arise; the map is linear and norm-preserving."""
+    arise; the map is linear and norm-preserving.  The keys and values of
+    a MultiState are valid, so the image is built unchecked."""
     shape = psi.shape
     offsets = shape.offsets
     amp = {
         tuple(m + offsets[i] for i, part in enumerate(key) for m in part): value
         for key, value in psi._amp.items()
     }
-    return FermionState(shape.total_particles, shape.total_modes, amp)
+    return FermionState._trusted(shape.total_particles, shape.total_modes, amp)
 
 
 def multistate_from_tensor(tensor: np.ndarray) -> MultiState:
@@ -280,33 +282,46 @@ def multistate_from_tensor(tensor: np.ndarray) -> MultiState:
 
 
 def tensor_from_multistate(psi: MultiState) -> np.ndarray:
-    """Inverse of multistate_from_tensor for all-qudit shapes."""
-    if any(k != 1 for k, _ in psi.shape.species):
-        raise ShapeError("dense tensor form exists only for single-particle "
-                         "species")
-    dims = tuple(n for _, n in psi.shape.species)
-    out = np.zeros(dims, dtype=complex)
-    for key, value in psi._amp.items():
-        out[tuple(part[0] - 1 for part in key)] = value
-    return out
+    """Read-only dense amplitude tensor, built once per (immutable) state:
+    axis i runs over the C(n_i, k_i) lex-ordered local keys of species i,
+    so it inverts multistate_from_tensor on all-qudit shapes."""
+    if psi._tensor is None:
+        index = [_key_index(k, n) for k, n in psi.shape.species]
+        out = np.zeros(psi.shape.dims, dtype=complex)
+        for key, value in psi._amp.items():
+            out[tuple(ix[part] for ix, part in zip(index, key))] = value
+        out.setflags(write=False)
+        object.__setattr__(psi, "_tensor", out)
+    return psi._tensor
 
 
 # -- separability --------------------------------------------------------------
 
 
 def separability_via_embedding(psi: MultiState, tol: float = DEFAULT_TOL) -> bool:
-    """True iff psi is a tensor product of per-species decomposable factors,
-    decided by the Plücker relations of the merged fermionic image."""
+    """True iff psi is a tensor product of per-species decomposable factors:
+    ``is_decomposable`` (kernel rank) of the merged fermionic image."""
     if psi.is_zero():
         raise ValueError("zero state has no separability verdict")
     return is_decomposable(merge_species(psi), tol)
 
 
+def _is_rank_one(matrix: np.ndarray, cutoff: float) -> bool:
+    """Rank-one test of a d_L x d_R flattening: sigma_1 sigma_2 <= cutoff
+    (true when min(d_L, d_R) < 2).  The 2 x 2 minors are the entries of the
+    second compound, whose norm is sigma_1 sigma_2, so max|2x2 minor| <=
+    sigma_1 sigma_2 <= sqrt(C(d_L, 2) C(d_R, 2)) max|2x2 minor|: against
+    tol * ||psi||^2 this is never looser than the minors' (Plücker) test."""
+    if min(matrix.shape) < 2:
+        return True
+    sing = np.linalg.svd(matrix, compute_uv=False)
+    return bool(sing[0] * sing[1] <= cutoff)
+
+
 def qubit_separability_direct(psi: MultiState, tol: float = DEFAULT_TOL) -> bool:
-    """Separability for all-qubit shapes by the amplitude-pair criterion:
-    for every position j and every pair of contexts, the products of the
-    0- and 1-amplitudes must agree.  Equivalent to every one-vs-rest
-    flattening having rank one; must agree with the embedding route."""
+    """Separability for all-qubit shapes straight from the amplitudes: every
+    one-vs-rest flattening (qubit j against the rest) passes _is_rank_one
+    against tol * ||psi||^2.  Must agree with the embedding route."""
     if any(sp != (1, 2) for sp in psi.shape.species):
         raise ShapeError("the direct criterion applies to qubit shapes only")
     if psi.is_zero():
@@ -314,13 +329,11 @@ def qubit_separability_direct(psi: MultiState, tol: float = DEFAULT_TOL) -> bool
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tensor = tensor_from_multistate(psi)
-    cutoff = tol * psi.norm() ** 2
-    for j in range(tensor.ndim):
-        flat = np.moveaxis(tensor, j, 0).reshape(2, -1)
-        minors = np.outer(flat[0], flat[1]) - np.outer(flat[1], flat[0])
-        if np.abs(minors).max() > cutoff:
-            return False
-    return True
+    cutoff = tol * np.vdot(tensor, tensor).real
+    return all(
+        _is_rank_one(np.moveaxis(tensor, j, 0).reshape(2, -1), cutoff)
+        for j in range(tensor.ndim)
+    )
 
 
 def bipartitions(num_species: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -341,12 +354,9 @@ def factors_across_cut(
     psi: MultiState, left: Sequence[int], tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff psi factors as (state of the `left` species) tensor (state
-    of the rest), with both factors arbitrary — entangled factors allowed.
-
-    Each side is flattened to a single particle over its joint basis and
-    the two-species merged image is run through the Plücker test, which
-    for this shape is exactly the rank-one condition on the cut matrix.
-    """
+    of the rest), with both factors arbitrary — entangled factors allowed:
+    the flattening with the `left` axes as rows passes _is_rank_one
+    against tol * ||psi||^2."""
     if psi.is_zero():
         raise ValueError("zero state has no factorization verdict")
     left = tuple(sorted(set(int(i) for i in left)))
@@ -357,24 +367,12 @@ def factors_across_cut(
     right = tuple(i for i in all_species if i not in left)
     if not right:
         raise ShapeError("cut must leave at least one species on each side")
-
-    def side_index(side: tuple[int, ...]) -> dict[tuple[LocalKey, ...], int]:
-        basis = itertools.product(*(psi.shape.local_keys(i) for i in side))
-        return {key: pos for pos, key in enumerate(basis)}
-
-    left_index = side_index(left)
-    right_index = side_index(right)
-    grouped = MultiState(
-        SystemShape(((1, len(left_index)), (1, len(right_index)))),
-        {
-            (
-                (left_index[tuple(key[i - 1] for i in left)] + 1,),
-                (right_index[tuple(key[i - 1] for i in right)] + 1,),
-            ): value
-            for key, value in psi._amp.items()
-        },
-    )
-    return separability_via_embedding(grouped, tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    tensor = tensor_from_multistate(psi)
+    rows = math.prod(tensor.shape[i - 1] for i in left)
+    flat = tensor.transpose([i - 1 for i in left + right]).reshape(rows, -1)
+    return _is_rank_one(flat, tol * np.vdot(tensor, tensor).real)
 
 
 # -- reduced density matrices --------------------------------------------------

@@ -5,9 +5,9 @@ increasing mode tuples (1-based) to complex amplitudes over the normalized
 wedge basis e_{i_1} ^ ... ^ e_{i_k}.  On top of the wedge arithmetic this
 module provides
 
-  * the quadratic Plücker relations, whose simultaneous vanishing is
-    equivalent to decomposability P = v_1 ^ ... ^ v_k, plus an independent
-    kernel-dimension oracle for cross-checking,
+  * decomposability P = v_1 ^ ... ^ v_k, decided by the kernel rank of
+    v -> v ^ P, and the equivalent quadratic Plücker relations, which give
+    the witnesses and the independent cross-check,
   * the wedge-power invariant ||P ^ ... ^ P|| (d factors, for k even and
     n = d k), which vanishes on W-type states and not on GHZ-type ones,
   * the one-particle reduced density matrix rho with Tr rho = 1, and the
@@ -46,7 +46,6 @@ __all__ = [
     "pluecker_scan",
     "pluecker_violations",
     "is_decomposable",
-    "decomposability_oracle",
     "wedge_power_norm",
     "one_particle_rdm",
     "idempotency_defect",
@@ -105,9 +104,17 @@ class FermionState:
                 raise ValueError(f"non-finite amplitude at {key}")
             if value != 0.0:
                 amp[key] = value
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_amp", amp)
+        self._fill(k, n, amp)
+
+    def _fill(self, k: int, n: int, amp: dict[Key, complex]) -> "FermionState":
+        for name, value in (("k", k), ("n", n), ("_amp", amp)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _trusted(cls, k: int, n: int, amp: dict[Key, complex]) -> "FermionState":
+        """``amp`` unchecked: sorted in-range keys, finite nonzero values."""
+        return object.__new__(cls)._fill(k, n, amp)
 
     def __setattr__(self, name, value):
         raise AttributeError("FermionState is immutable")
@@ -251,8 +258,10 @@ def _dense_vector(P: FermionState) -> np.ndarray:
 def _from_dense(k: int, n: int, vec: np.ndarray) -> FermionState:
     """Inverse of _dense_vector, dropping amplitudes at most PRUNE_TOL."""
     kept = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
+    if not np.isfinite(vec[kept]).all():
+        raise ValueError("non-finite amplitude")
     keys = map(tuple, (_combos(n, k)[kept] + 1).tolist())
-    return FermionState(k, n, dict(zip(keys, vec[kept])))
+    return FermionState._trusted(k, n, dict(zip(keys, vec[kept].tolist())))
 
 
 def wedge(u: FermionState, v: FermionState) -> FermionState:
@@ -371,24 +380,17 @@ def pluecker_violations(
 
 
 def is_decomposable(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
-    """True when every Plücker relation vanishes within tol * ||P||^2."""
+    """True when P = v_1 ^ ... ^ v_k, i.e. when the kernel of v -> v ^ P (the
+    n x C(n, k+1) matrix M with rows e_t ^ P, e_t ^ e_L = sign * e_K) has
+    dimension >= k (Griffiths-Harris, *Principles of Algebraic Geometry*,
+    1.5); its rank counts the singular values above tol * sigma_max.  Each
+    amplitude fills the n - k rows of the modes outside its key, so
+    ||M||_F^2 = (n - k) ||P||^2 and sigma_max is in [||P|| sqrt((n - k) / n),
+    ||P||]: the threshold scales with the norm.  See also ``pluecker_scan``."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if P.is_zero():
         raise ValueError("zero state has no decomposability verdict")
-    best, _ = pluecker_scan(P)
-    return best <= tol * P.norm() ** 2
-
-
-def decomposability_oracle(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
-    """Independent check: P is decomposable iff the kernel of v -> v ^ P
-    has dimension >= k.  Rank is counted from singular values above
-    tol * sigma_max."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if P.is_zero():
-        raise ValueError("zero state has no decomposability verdict")
-    # Row t of the matrix is v = e_t: e_t ^ e_L = sign * e_K.
     mode, rest, sign = _shuffle_table(1, P.k, P.n)
     mat = np.zeros((P.n, len(mode)), dtype=complex)
     mat[mode, np.arange(len(mode))[:, None]] = sign * _dense_vector(P)[rest]

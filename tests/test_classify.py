@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from freudenthal.classify import (
     RANKED_SYSTEMS,
+    SYSTEM_TABLE,
     SYSTEMS,
     ClassLabel,
     DegeneracyWarning,
@@ -468,6 +469,20 @@ class TestRandomStates:
             random_state("multi", 7)
         psi = random_state("multi", 7, shape=((2, 4), (1, 2)))
         assert psi.norm() == pytest.approx(1.0)
+
+    def test_dense_systems_take_only_their_shapes(self):
+        for system in ("qubit3", "boson2q", "boson3", "qubit_fermion4"):
+            with pytest.raises(ShapeError):
+                random_state(system, 7, shape=(9, 9))
+            with pytest.raises(ShapeError):
+                random_group_element(system, 7, shape=(9, 9))
+            for shape in SYSTEM_TABLE[system].shapes:
+                assert np.array_equal(
+                    random_state(system, 7, shape=shape), random_state(system, 7)
+                )
+                random_group_element(system, 7, shape=shape)
+        # General shapes still pass through.
+        assert random_state("fermion", 7, shape=(2, 5)).shape == (2, 5)
 
 
 class TestDegeneracyWarning:

@@ -37,6 +37,7 @@ from freudenthal.fermion import (
     ShapeError,
     apply_matrix,
     one_particle_rdm,
+    pluecker_scan,
     to_freudenthal,
     wedge_of_vectors,
 )
@@ -114,6 +115,19 @@ class TestShapesAndStates:
         psi = multistate_from_tensor(tensor)
         assert psi.shape.species == ((1, 2), (1, 3), (1, 2))
         assert np.allclose(tensor_from_multistate(psi), tensor)
+
+    def test_tensor_of_mixed_species(self, rng):
+        shape = SystemShape(((1, 2), (2, 4), (1, 3)))
+        psi = random_multistate(shape, rng)
+        tensor = tensor_from_multistate(psi)
+        assert tensor.shape == (2, 6, 3)
+        local = [shape.local_keys(i) for i in (1, 2, 3)]
+        for idx in np.ndindex(tensor.shape):
+            key = tuple(local[axis][j] for axis, j in enumerate(idx))
+            assert tensor[idx] == psi.amplitude(key)
+        # Built once per (immutable) state, and read-only.
+        assert tensor_from_multistate(psi) is tensor
+        assert not tensor.flags.writeable
 
 
 class TestMerging:
@@ -265,6 +279,102 @@ class TestCuts:
             factors_across_cut(psi, (1, 2))
         with pytest.raises(ShapeError):
             factors_across_cut(psi, ())
+        with pytest.raises(ValueError):
+            factors_across_cut(psi, (1,), tol=0.0)
+        with pytest.raises(ValueError):
+            factors_across_cut(MultiState(psi.shape, {}), (1,))
+
+
+def _minor_route(psi: MultiState, left: tuple[int, ...], tol: float = 1e-8):
+    """The cut test factors_across_cut made before its rank-one kernel, kept
+    as the reference: group each side's species into one qudit over its
+    joint basis, merge the two-species state and take its largest Plücker
+    relation, which is the largest 2 x 2 minor of the cut matrix.  Returns
+    that quantity, the cutoff tol * ||psi||^2 and the cut matrix."""
+    right = tuple(i for i in range(1, psi.shape.num_species + 1) if i not in left)
+
+    def side_index(side):
+        basis = itertools.product(*(psi.shape.local_keys(i) for i in side))
+        return {key: pos for pos, key in enumerate(basis)}
+
+    left_index, right_index = side_index(left), side_index(right)
+    amp, matrix = {}, np.zeros((len(left_index), len(right_index)), dtype=complex)
+    for key, value in psi.amplitudes.items():
+        row = left_index[tuple(key[i - 1] for i in left)]
+        col = right_index[tuple(key[i - 1] for i in right)]
+        amp[((row + 1,), (col + 1,))] = value
+        matrix[row, col] = value
+    grouped = MultiState(
+        SystemShape(((1, len(left_index)), (1, len(right_index)))), amp
+    )
+    worst, _ = pluecker_scan(merge_species(grouped))
+    return worst, tol * psi.norm() ** 2, matrix
+
+
+def _split_state(shape: SystemShape, left, rng) -> MultiState:
+    """A random state of the `left` species times one of the rest."""
+    right = tuple(i for i in range(1, shape.num_species + 1) if i not in left)
+    sides = []
+    for side in (left, right):
+        keys = list(itertools.product(*(shape.local_keys(i) for i in side)))
+        values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        sides.append(dict(zip(keys, values)))
+    amp = {}
+    for (lkey, lval), (rkey, rval) in itertools.product(
+        sides[0].items(), sides[1].items()
+    ):
+        key = dict(zip(left, lkey)) | dict(zip(right, rkey))
+        amp[tuple(key[i] for i in range(1, shape.num_species + 1))] = lval * rval
+    psi = MultiState(shape, amp)
+    return (1.0 / psi.norm()) * psi
+
+
+class TestCutKernelParity:
+    """factors_across_cut (sigma_1 sigma_2 of the flattening) against the
+    grouped-state Plücker route it replaced.  The two may differ only where
+    max|2x2 minor| <= cutoff < sigma_1 sigma_2, the band the kernel's
+    docstring bound allows; every disagreement must lie there."""
+
+    SHAPES = [
+        SystemShape(((1, 2),) * 3),
+        SystemShape(((1, 2),) * 4),
+        SystemShape(((1, 2),) * 5),
+        SystemShape(((1, 2), (2, 4), (1, 3))),
+    ]
+
+    @staticmethod
+    def _states(shape: SystemShape, rng):
+        """(state, near the threshold?) pairs."""
+        cuts = bipartitions(shape.num_species)
+        for _ in range(3):
+            yield random_product_state(shape, rng), False
+            yield _split_state(shape, cuts[int(rng.integers(len(cuts)))][0], rng), False
+            yield random_multistate(shape, rng), False
+        # A product nudged toward a generic state.
+        for eps in np.logspace(-12, -4, 17):
+            psi = random_product_state(shape, rng) + eps * random_multistate(shape, rng)
+            yield (1.0 / psi.norm()) * psi, True
+
+    def test_verdicts_match_the_minor_route(self, rng):
+        verdicts = set()
+        for shape in self.SHAPES:
+            for psi, near in self._states(shape, rng):
+                for left, _right in bipartitions(shape.num_species):
+                    worst, cutoff, matrix = _minor_route(psi, left)
+                    sing = np.linalg.svd(matrix, compute_uv=False)
+                    product = sing[0] * sing[1]
+                    d_left, d_right = matrix.shape
+                    factor = math.sqrt(math.comb(d_left, 2) * math.comb(d_right, 2))
+                    # The documented bounds, up to roundoff.
+                    assert worst <= product * (1 + 1e-9) + 1e-15
+                    assert product <= factor * worst * (1 + 1e-9) + 1e-15
+                    verdict = factors_across_cut(psi, left)
+                    assert type(verdict) is bool
+                    verdicts.add(verdict)
+                    if verdict != (worst <= cutoff):
+                        assert near, (shape, left, worst, product)
+                        assert worst <= cutoff < product, (shape, left, worst, product)
+        assert verdicts == {True, False}
 
 
 class TestReducedDensityMatrices:

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex, random_fermion_amplitudes
-from freudenthal.classify import SYSTEM_TABLE
+from freudenthal.classify import SYSTEM_TABLE, classify_state
 from freudenthal.fermion import (
+    DEFAULT_TOL,
     FermionState,
     ShapeError,
     _scan_tables,
     _witness,
     apply_matrix,
-    decomposability_oracle,
     from_freudenthal,
     idempotency_defect,
     is_decomposable,
@@ -56,6 +56,11 @@ def w6() -> FermionState:
 
 def random_state(k, n, rng, sparsity=None) -> FermionState:
     return FermionState(k, n, random_fermion_amplitudes(k, n, rng))
+
+
+def pluecker_verdict(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
+    """Decomposability by the Plücker relations: all within tol * ||P||^2."""
+    return pluecker_scan(P)[0] <= tol * P.norm() ** 2
 
 
 def random_plane_state(k, n, rng) -> FermionState:
@@ -154,6 +159,11 @@ class TestWedge:
             minor = np.linalg.det(vecs[:, [m - 1 for m in key]])
             assert P.amplitude(key) == pytest.approx(minor)
 
+    def test_overflowed_amplitudes_rejected(self):
+        huge = FermionState(1, 3, {(1,): 1e200})
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            wedge(huge, FermionState(1, 3, {(2,): 1e200}))
+
     def test_degree_overflow(self):
         u = FermionState(2, 4, {(1, 2): 1.0})
         v = FermionState(3, 4, {(1, 2, 3): 1.0})
@@ -186,14 +196,14 @@ class TestPluecker:
             assert len(pluecker_violations(P)) > 0
 
     def test_dual_route_agreement(self, rng):
-        # Plücker scan and kernel-dimension oracle must agree on mixed
+        # The kernel-rank test and the Plücker scan must agree on mixed
         # shapes, decomposable or not.
         for k, n in [(2, 4), (2, 5), (3, 6), (2, 6)]:
             for _ in range(5):
                 plane = random_plane_state(k, n, rng)
-                assert is_decomposable(plane) == decomposability_oracle(plane) == True
+                assert is_decomposable(plane) == pluecker_verdict(plane) == True
                 generic = random_state(k, n, rng)
-                assert is_decomposable(generic) == decomposability_oracle(generic)
+                assert is_decomposable(generic) == pluecker_verdict(generic)
 
     def test_violation_report_sorted(self):
         viols = pluecker_violations(ghz6())
@@ -205,8 +215,11 @@ class TestPluecker:
         Z = FermionState(3, 6, {})
         with pytest.raises(ValueError):
             is_decomposable(Z)
+        # The scan has no zero check of its own (every relation is 0 <= 0),
+        # so the classifier's scan verdict refuses the zero state itself.
+        assert pluecker_scan(Z)[0] == 0.0
         with pytest.raises(ValueError):
-            decomposability_oracle(Z)
+            classify_state("fermion", FermionState(2, 4, {}))
 
     def test_index_size_validation(self):
         with pytest.raises(ShapeError):
@@ -523,7 +536,7 @@ class TestScanTables:
             assert pluecker_scan(P) == (0.0, None)
             assert pluecker_violations(P) == []
             assert is_decomposable(P)
-            assert decomposability_oracle(P)
+            assert pluecker_verdict(P)
 
     def test_corpus_witnesses_match_entrywise_builder(self):
         corpus = importlib.resources.files("freudenthal") / "corpus"

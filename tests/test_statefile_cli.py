@@ -547,6 +547,12 @@ class TestCliRandom:
     def test_shape_errors(self, capsys):
         code, _, _ = run_cli(capsys, "random", "--system", "multi")
         assert code == 3
+        # A dense system has its own shapes; a foreign one is an error, not
+        # silently replaced by the default.
+        code, out, _ = run_cli(capsys, "random", "--system", "qubit3", "--shape", "9,9")
+        assert (code, out) == (3, "")
+        code, _, _ = run_cli(capsys, "random", "--system", "boson2q", "--shape", "2,3")
+        assert code == 0
         code, _, _ = run_cli(
             capsys, "random", "--system", "multi", "--shape", "banana"
         )
