@@ -43,11 +43,15 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .embed import (
+    _BOSON2Q_WEIGHTS,
+    _BOSON3_WEIGHTS,
     _PAIR_INDEX,
     _PAIR_SLOTS,
     MultiState,
     SystemShape,
+    _flattening,
     _is_rank_one,
+    _unpack_antisymmetric_pair,
     bipartitions,
     boson2q_to_freudenthal,
     boson2q_to_three_qubit,
@@ -73,7 +77,9 @@ from .fermion import (
     to_freudenthal,
     wedge_power_norm,
 )
-from .triple import FreudenthalVector, quartic_form, quartic_tangle, rank_margins
+from .triple import (
+    FreudenthalVector, _binary_scaled, quartic_form, quartic_tangle, rank_margins
+)
 
 __all__ = [
     "RANKED_SYSTEMS",
@@ -318,10 +324,12 @@ def _boson3_tangle(c: np.ndarray) -> float:
 
 
 def _qubit_fermion4_tangle(packed: np.ndarray) -> float:
+    rows = packed.tolist()  # Python complex arithmetic beats numpy scalars
+
     def d(i: int, j: int, k: int) -> complex:
         if j < k:
-            return packed[i, _PAIR_INDEX[(j, k)]]
-        return -packed[i, _PAIR_INDEX[(k, j)]]
+            return rows[i][_PAIR_INDEX[(j, k)]]
+        return -rows[i][_PAIR_INDEX[(k, j)]]
 
     t = 4.0 * (
         (d(0, 2, 3) * d(1, 0, 1)) ** 2
@@ -412,25 +420,22 @@ def _warn_if_close(ratios, what: str) -> None:
             return
 
 
-def _factoring_cuts(psi: MultiState, tol: float) -> tuple[Cut, ...]:
-    """The bipartitions of the species that ``psi`` factors across."""
+def _tensor_cuts(spec: System, arr: np.ndarray, tol: float) -> tuple[Cut, ...]:
+    """The bipartitions of the factors (axes of the canonical array) whose
+    flattening passes _is_rank_one against tol times the squared norm in
+    the system's convention, on the array exactly rescaled by _binary_scaled."""
+    arr = _binary_scaled(arr)
+    cutoff = tol * spec.norm_sq(arr)
     return tuple(
-        bp
-        for bp in bipartitions(psi.shape.num_species)
-        if factors_across_cut(psi, bp[0], tol=tol)
+        (left, right)
+        for left, right in bipartitions(arr.ndim)
+        if _is_rank_one(_flattening(arr, left, right), cutoff)
     )
-
-
-def _matrix_cut(spec: System, matrix: np.ndarray, tol: float) -> tuple[Cut, ...]:
-    """The one cut of a two-factor system whose canonical array is its
-    factor-by-rest matrix, when that matrix has rank one against tol times
-    the squared norm in the system's convention."""
-    return (((1,), (2,)),) if _is_rank_one(matrix, tol * spec.norm_sq(matrix)) else ()
 
 
 def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
     x = spec.freudenthal(state)
-    if x.norm() == 0.0:
+    if not x.coefficients().any():
         raise ValueError("cannot classify the zero state")
     r, ratios = rank_margins(x, tol)
     _warn_if_close(ratios, f"rank test for system {spec.name!r}")
@@ -472,7 +477,9 @@ def _classify_multi(psi: MultiState, tol: float) -> ClassLabel:
     report = _general_report(merged)
     if is_decomposable(merged, tol=tol):
         return ClassLabel(rank=None, name="separable", invariants_report=report)
-    cuts = _factoring_cuts(psi, tol)
+    cuts = tuple(
+        bp for bp in bipartitions(psi.shape.num_species) if factors_across_cut(psi, bp[0], tol)
+    )
     if cuts:
         return ClassLabel(
             rank=None, name="biseparable", cut_pattern=cuts, invariants_report=report
@@ -529,10 +536,7 @@ def _act_multi(psi: MultiState, mats: Sequence[np.ndarray]) -> MultiState:
 
 def _act_boson2q(b: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     g_qubit, g_boson = mats
-    tensor = np.empty((2, 2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            tensor[:, j, k] = b[:, j + k]
+    tensor = boson2q_to_three_qubit(b)
     moved = np.einsum("ia,jb,kc,abc->ijk", g_qubit, g_boson, g_boson, tensor)
     out = np.empty((2, 3), dtype=complex)
     out[:, 0] = moved[:, 0, 0]
@@ -543,11 +547,7 @@ def _act_boson2q(b: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def _act_boson3(c: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     (g,) = mats
-    tensor = np.empty((2, 2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            for l in range(2):
-                tensor[j, k, l] = c[j + k + l]
+    tensor = boson2q_to_three_qubit(boson3_to_boson2q(c))
     moved = np.einsum("ia,jb,kc,abc->ijk", g, g, g, tensor)
     out = np.empty(4, dtype=complex)
     out[0] = moved[0, 0, 0]
@@ -561,13 +561,7 @@ def _act_qubit_fermion4(d: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray
     """The action on packed pairs; a full 2x4x4 input gets a 2x4x4 result."""
     g_qubit, g_modes = mats
     moved = g_qubit @ _compound_columns(g_modes, pack_antisymmetric_pair(d).T, 2).T
-    if d.shape == moved.shape:
-        return moved
-    full = np.zeros((2, 4, 4), dtype=complex)
-    for column, (j, k) in enumerate(_PAIR_SLOTS):
-        full[:, j, k] = moved[:, column]
-        full[:, k, j] = -moved[:, column]
-    return full
+    return moved if d.shape == moved.shape else _unpack_antisymmetric_pair(moved)
 
 
 def slocc_act(state, element, system: Optional[str] = None):
@@ -674,9 +668,9 @@ def random_state(system: str, seed, shape=None):
         return (1.0 / psi.norm()) * psi
     size = spec.shapes[0]
     arr = rng.normal(size=size) + 1j * rng.normal(size=size)
-    if spec.weights is None:
-        return arr / np.linalg.norm(arr)
-    return arr / math.sqrt(spec.norm_sq(arr))
+    arr /= np.linalg.norm(arr) if spec.weights is None else math.sqrt(spec.norm_sq(arr))
+    # The one other dense shape, qubit_fermion4's full antisymmetric array.
+    return arr if tuple(shape) == size else _unpack_antisymmetric_pair(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -724,22 +718,22 @@ SYSTEM_TABLE: Mapping[str, System] = {
             freudenthal=lambda a: three_qubit_to_freudenthal(a),
             tangle=three_tangle,
             embedded_tangle=lambda a: _abs_tangle(to_freudenthal(three_qubit_to_fermion(a))),
-            cuts=lambda spec, a, tol: _factoring_cuts(spec.multistate(a), tol),
+            cuts=_tensor_cuts,
         ),
         System(
             "boson2q", np.ndarray, ((2, 3),),
-            weights=np.array([1.0, 2.0, 1.0]),
+            weights=_BOSON2Q_WEIGHTS,
             matrix_sizes=lambda shape: (2, 2),
             act=_act_boson2q,
             fermion=lambda b: three_qubit_to_fermion(boson2q_to_three_qubit(b)),
             freudenthal=lambda b: boson2q_to_freudenthal(b, check_norm=False),
             tangle=_boson2q_tangle,
             embedded_tangle=lambda b: _abs_tangle(boson2q_to_freudenthal(b, check_norm=False)),
-            cuts=_matrix_cut,
+            cuts=_tensor_cuts,
         ),
         System(
             "boson3", np.ndarray, ((4,),),
-            weights=np.array([1.0, 3.0, 3.0, 1.0]),
+            weights=_BOSON3_WEIGHTS,
             matrix_sizes=lambda shape: (2,),
             act=_act_boson3,
             fermion=lambda c: three_qubit_to_fermion(
@@ -771,7 +765,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             embedded_tangle=lambda d: _abs_tangle(
                 to_freudenthal(qubit_fermion4_to_fermion(d))
             ),
-            cuts=_matrix_cut,
+            cuts=_tensor_cuts,
             # [bit, a, b] names the pair (a, b) of modes 0..3 and [bit, b, a]
             # the same slot with the wedge sign.
             file_keys={

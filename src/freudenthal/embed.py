@@ -24,10 +24,13 @@ maps of the subspace chain
 
     boson3 -> boson2q -> three qubits -> qubit + fermion pair.
 
-Bosonic amplitudes are occupation coefficients with weighted norms
-(a doubled weight on the mixed two-boson slot; weight three on the
+Each of these maps is one signed gather (``fermion._signed_table``):
+every native amplitude lands, with a sign, in one of the 20 coordinates
+or one of the 20 three-fermion amplitudes, and one finiteness check covers
+the result.  Bosonic amplitudes are occupation coefficients with weighted
+norms (a doubled weight on the mixed two-boson slot; weight three on the
 single- and double-excitation slots of three bosons); the maps warn, but
-do not fail, when handed unnormalized input.
+do not fail, when asked to check the norm of unnormalized input.
 """
 
 from __future__ import annotations
@@ -45,13 +48,16 @@ from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
+    _from_dense,
     _key_index,
     _rdm_numerator,
+    _signed_gather,
+    _signed_table,
     is_decomposable,
     one_particle_rdm,
     sort_sign,
 )
-from .jordan import j3
+from .jordan import AlgebraKind
 from .triple import FreudenthalVector
 
 __all__ = [
@@ -370,9 +376,18 @@ def factors_across_cut(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tensor = tensor_from_multistate(psi)
+    return _is_rank_one(
+        _flattening(tensor, left, right), tol * np.vdot(tensor, tensor).real
+    )
+
+
+def _flattening(
+    tensor: np.ndarray, left: tuple[int, ...], right: tuple[int, ...]
+) -> np.ndarray:
+    """The matrix of a dense tensor with the (1-based) ``left`` axes as
+    rows and the ``right`` axes as columns."""
     rows = math.prod(tensor.shape[i - 1] for i in left)
-    flat = tensor.transpose([i - 1 for i in left + right]).reshape(rows, -1)
-    return _is_rank_one(flat, tol * np.vdot(tensor, tensor).real)
+    return tensor.transpose([i - 1 for i in left + right]).reshape(rows, -1)
 
 
 # -- reduced density matrices --------------------------------------------------
@@ -437,6 +452,57 @@ def rdm_direct_sum(shape: SystemShape, blocks: Sequence[np.ndarray]) -> np.ndarr
 _FERMION4_MODES = (2, 3, 5, 6)
 _PAIR_SLOTS = tuple(itertools.combinations(range(4), 2))
 _PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIR_SLOTS)}
+_PAIR_FLAT = np.array([4 * j + k for j, k in _PAIR_SLOTS])  # in a flat 4 x 4 block
+# Norm weights of the canonical bosonic arrays (rows of (2, 3) broadcast).
+_BOSON2Q_WEIGHTS = np.array([1.0, 2.0, 1.0])
+_BOSON3_WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])
+
+
+def _diagonal_table(size: int, slot) -> np.ndarray:
+    """Image table of a system whose three-qubit basis state (i, j, k) sits
+    at flat position slot(i, j, k): |000> and |111> fill alpha and beta, the
+    state with qubit p alone at 0 (alone at 1) the diagonal entry p of A (B)."""
+    entries = {0: (slot(0, 0, 0), 1), 1: (slot(1, 1, 1), 1)}
+    for p, bits in enumerate(((0, 1, 1), (1, 0, 1), (1, 1, 0))):
+        entries[2 + 4 * p] = (slot(*bits), 1)
+        entries[11 + 4 * p] = (slot(*(1 - bit for bit in bits)), 1)
+    return _signed_table(size, entries)
+
+
+_QUBIT3_TABLE = _diagonal_table(8, lambda i, j, k: 4 * i + 2 * j + k)
+# The bosonic amplitudes count excitations: b[i, j + k] and c[i + j + k].
+_BOSON2Q_TABLE = _diagonal_table(6, lambda i, j, k: 3 * i + j + k)
+_BOSON3_TABLE = _diagonal_table(4, lambda i, j, k: i + j + k)
+# Coordinate c <- the amplitude of qubit state i with the fermion pair (j, k),
+# read from the packed slot of the sorted pair with the wedge sign; the
+# matrix slots are block diagonal (1 + 2).
+_QF4_TABLE = _signed_table(12, {
+    c: (6 * i + _PAIR_INDEX[min(j, k), max(j, k)], 1 if j < k else -1)
+    for c, (i, j, k) in {0: (0, 0, 1), 1: (1, 2, 3), 2: (0, 2, 3), 6: (1, 0, 3),
+                         7: (1, 2, 0), 9: (1, 1, 3), 10: (1, 2, 1), 11: (1, 0, 1),
+                         15: (0, 2, 1), 16: (0, 0, 2), 18: (0, 3, 1), 19: (0, 0, 3)}.items()
+})
+
+
+def _fermion_table(size: int, triples) -> np.ndarray:
+    """Table onto the dense (3, 6) amplitudes: flat position p holds the
+    amplitude of the mode triple triples[p], parity folded."""
+    signed = [sort_sign(triple) for triple in triples]
+    return _signed_table(
+        size, {_key_index(3, 6)[key]: (p, sign) for p, (sign, key) in enumerate(signed)}
+    )
+
+
+_QUBIT3_FERMION_TABLE = _fermion_table(
+    8, [(1 + 3 * i, 2 + 3 * j, 3 + 3 * k) for i, j, k in np.ndindex(2, 2, 2)])
+_QF4_FERMION_TABLE = _fermion_table(12, [
+    (1 + 3 * i, _FERMION4_MODES[j], _FERMION4_MODES[k])
+    for i in range(2) for j, k in _PAIR_SLOTS
+])
+
+
+def _image(flat: np.ndarray, table: np.ndarray) -> FreudenthalVector:
+    return FreudenthalVector._trusted(AlgebraKind.J3, _signed_gather(flat, table))
 
 
 def _as_qubit_cube(a: np.ndarray) -> np.ndarray:
@@ -450,29 +516,20 @@ def three_qubit_to_freudenthal(a: np.ndarray) -> FreudenthalVector:
     """Triple-system coordinates of a three-qubit state: the all-zeros and
     all-ones amplitudes fill the scalar slots, the weight-two and
     weight-one amplitudes the two diagonal matrix slots."""
-    a = _as_qubit_cube(a)
-    return FreudenthalVector(
-        a[0, 0, 0],
-        a[1, 1, 1],
-        j3(np.diag([a[0, 1, 1], a[1, 0, 1], a[1, 1, 0]])),
-        j3(np.diag([a[1, 0, 0], a[0, 1, 0], a[0, 0, 1]])),
-    )
+    return _image(_as_qubit_cube(a), _QUBIT3_TABLE)
 
 
 def three_qubit_to_fermion(a: np.ndarray) -> FermionState:
     """Three-fermion image of a three-qubit state: qubit p in state s
     occupies mode p + 3s, so basis states map to wedge triples with
     parity folded into sorted keys."""
-    a = _as_qubit_cube(a)
-    terms = [
-        ((1 + 3 * i, 2 + 3 * j, 3 + 3 * k), a[i, j, k])
-        for i, j, k in np.ndindex(2, 2, 2)
-    ]
-    return FermionState.from_terms(3, 6, terms)
+    dense = _signed_gather(_as_qubit_cube(a), _QUBIT3_FERMION_TABLE)
+    return _from_dense(3, 6, dense, cutoff=0.0)
 
 
-def _check_weighted_norm(value: float, what: str, check_norm: bool) -> None:
-    if check_norm and abs(value - 1.0) > NORM_CHECK_TOL:
+def _check_weighted_norm(arr: np.ndarray, weights: np.ndarray, what: str) -> None:
+    value = float(np.sum(weights * np.abs(arr) ** 2))
+    if abs(value - 1.0) > NORM_CHECK_TOL:
         warnings.warn(
             f"{what} has weighted norm {value:.6g}, expected 1",
             NormalizationWarning,
@@ -489,16 +546,9 @@ def boson2q_to_freudenthal(
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 3):
         raise ShapeError(f"expected a 2x3 amplitude array, got {b.shape}")
-    weighted = float(
-        np.sum(np.abs(b) ** 2 * np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 1.0]]))
-    )
-    _check_weighted_norm(weighted, "qubit + two-boson state", check_norm)
-    return FreudenthalVector(
-        b[0, 0],
-        b[1, 2],
-        j3(np.diag([b[0, 2], b[1, 1], b[1, 1]])),
-        j3(np.diag([b[1, 0], b[0, 1], b[0, 1]])),
-    )
+    if check_norm:
+        _check_weighted_norm(b, _BOSON2Q_WEIGHTS, "qubit + two-boson state")
+    return _image(b, _BOSON2Q_TABLE)
 
 
 def boson3_to_freudenthal(
@@ -510,12 +560,9 @@ def boson3_to_freudenthal(
     c = np.asarray(c, dtype=complex)
     if c.shape != (4,):
         raise ShapeError(f"expected 4 amplitudes, got shape {c.shape}")
-    weighted = float(
-        abs(c[0]) ** 2 + abs(c[3]) ** 2 + 3 * (abs(c[1]) ** 2 + abs(c[2]) ** 2)
-    )
-    _check_weighted_norm(weighted, "three-boson state", check_norm)
-    eye = np.eye(3)
-    return FreudenthalVector(c[0], c[3], j3(c[2] * eye), j3(c[1] * eye))
+    if check_norm:
+        _check_weighted_norm(c, _BOSON3_WEIGHTS, "three-boson state")
+    return _image(c, _BOSON3_TABLE)
 
 
 def pack_antisymmetric_pair(d: np.ndarray) -> np.ndarray:
@@ -534,56 +581,29 @@ def pack_antisymmetric_pair(d: np.ndarray) -> np.ndarray:
     if np.abs(d + d.transpose(0, 2, 1)).max() > 1e-12 * scale:
         raise ValueError("pair amplitudes must be antisymmetric in the two "
                          "fermion indices")
-    packed = np.empty((2, 6), dtype=complex)
-    for col, (j, k) in enumerate(_PAIR_SLOTS):
-        packed[:, col] = d[:, j, k]
-    return packed
+    return d.reshape(2, 16)[:, _PAIR_FLAT]
 
 
-def _pair_amplitude(packed: np.ndarray, i: int, j: int, k: int) -> complex:
-    if j == k:
-        return 0.0
-    if j < k:
-        return packed[i, _PAIR_INDEX[(j, k)]]
-    return -packed[i, _PAIR_INDEX[(k, j)]]
+def _unpack_antisymmetric_pair(packed: np.ndarray) -> np.ndarray:
+    """The full antisymmetric 2x4x4 form of a packed 2x6 array."""
+    full = np.zeros((2, 16), dtype=complex)
+    full[:, _PAIR_FLAT] = packed
+    full = full.reshape(2, 4, 4)
+    return full - full.transpose(0, 2, 1)
 
 
 def qubit_fermion4_to_freudenthal(d: np.ndarray) -> FreudenthalVector:
     """Triple-system coordinates of a qubit with two fermions in four
     modes.  The matrix slots are block diagonal (1 + 2), with the
-    off-diagonal block entries drawn through antisymmetric lookups."""
-    p = pack_antisymmetric_pair(d)
-    A = np.array(
-        [
-            [_pair_amplitude(p, 0, 2, 3), 0.0, 0.0],
-            [0.0, _pair_amplitude(p, 1, 0, 3), _pair_amplitude(p, 1, 2, 0)],
-            [0.0, _pair_amplitude(p, 1, 1, 3), _pair_amplitude(p, 1, 2, 1)],
-        ]
-    )
-    B = np.array(
-        [
-            [_pair_amplitude(p, 1, 0, 1), 0.0, 0.0],
-            [0.0, _pair_amplitude(p, 0, 2, 1), _pair_amplitude(p, 0, 0, 2)],
-            [0.0, _pair_amplitude(p, 0, 3, 1), _pair_amplitude(p, 0, 0, 3)],
-        ]
-    )
-    return FreudenthalVector(
-        _pair_amplitude(p, 0, 0, 1), _pair_amplitude(p, 1, 2, 3), j3(A), j3(B)
-    )
+    off-diagonal block entries read with the wedge sign of their pair."""
+    return _image(pack_antisymmetric_pair(d), _QF4_TABLE)
 
 
 def qubit_fermion4_to_fermion(d: np.ndarray) -> FermionState:
     """Three-fermion image of a qubit + fermion pair: qubit states go to
     modes 1 and 4, the four fermion modes to 2, 3, 5, 6."""
-    p = pack_antisymmetric_pair(d)
-    terms = []
-    for i in range(2):
-        qubit_mode = 1 if i == 0 else 4
-        for col, (j, k) in enumerate(_PAIR_SLOTS):
-            terms.append(
-                ((qubit_mode, _FERMION4_MODES[j], _FERMION4_MODES[k]), p[i, col])
-            )
-    return FermionState.from_terms(3, 6, terms)
+    dense = _signed_gather(pack_antisymmetric_pair(d), _QF4_FERMION_TABLE)
+    return _from_dense(3, 6, dense, cutoff=0.0)
 
 
 # -- the subspace chain ----------------------------------------------------------
@@ -605,10 +625,7 @@ def boson2q_to_three_qubit(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 3):
         raise ShapeError(f"expected a 2x3 amplitude array, got {b.shape}")
-    a = np.empty((2, 2, 2), dtype=complex)
-    for i, j, k in np.ndindex(2, 2, 2):
-        a[i, j, k] = b[i, j + k]
-    return a
+    return b[:, [[0, 1], [1, 2]]]
 
 
 def three_qubit_to_qubit_fermion4(a: np.ndarray) -> np.ndarray:
@@ -618,11 +635,8 @@ def three_qubit_to_qubit_fermion4(a: np.ndarray) -> np.ndarray:
     of order."""
     a = _as_qubit_cube(a)
     packed = np.zeros((2, 6), dtype=complex)
-    for i, j, k in np.ndindex(2, 2, 2):
-        mj = 0 if j == 0 else 2
-        mk = 1 if k == 0 else 3
-        if mj < mk:
-            packed[i, _PAIR_INDEX[(mj, mk)]] += a[i, j, k]
-        else:
-            packed[i, _PAIR_INDEX[(mk, mj)]] -= a[i, j, k]
+    for j, k in np.ndindex(2, 2):
+        mj, mk = 2 * j, 2 * k + 1
+        sign = 1 if mj < mk else -1
+        packed[:, _PAIR_INDEX[min(mj, mk), max(mj, mk)]] = sign * a[:, j, k]
     return packed

@@ -17,7 +17,9 @@ module provides
     interior products of P by the matrix rows (Cauchy-Binet), and
   * for (k, n) = (3, 6) the coordinate bijection onto the Freudenthal
     triple system over the 3 x 3 matrix algebra, with modes 4, 5, 6
-    playing the role of the barred partners of modes 1, 2, 3.
+    playing the role of the barred partners of modes 1, 2, 3: one signed
+    gather (``_signed_table``, ``_signed_gather``) from the dense amplitude
+    vector to the 20 coordinates, and its inverse.
 
 States are immutable; all functions are pure.  Amplitudes with magnitude
 at most PRUNE_TOL are dropped after arithmetic.
@@ -33,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jordan import AlgebraKind, JordanElement, j3
+from .jordan import AlgebraKind
 from .triple import FreudenthalVector
 
 __all__ = [
@@ -255,11 +257,14 @@ def _dense_vector(P: FermionState) -> np.ndarray:
     return vec
 
 
-def _from_dense(k: int, n: int, vec: np.ndarray) -> FermionState:
-    """Inverse of _dense_vector, dropping amplitudes at most PRUNE_TOL."""
-    kept = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
-    if not np.isfinite(vec[kept]).all():
+def _from_dense(
+    k: int, n: int, vec: np.ndarray, cutoff: float = PRUNE_TOL
+) -> FermionState:
+    """Inverse of _dense_vector, dropping amplitudes at most ``cutoff``;
+    every amplitude, dropped or not, must be finite."""
+    if not np.isfinite(vec).all():
         raise ValueError("non-finite amplitude")
+    kept = np.flatnonzero(np.abs(vec) > cutoff)
     keys = map(tuple, (_combos(n, k)[kept] + 1).tolist())
     return FermionState._trusted(k, n, dict(zip(keys, vec[kept].tolist())))
 
@@ -460,43 +465,57 @@ _BARRED_PAIRS = ((5, 6), (6, 4), (4, 5))
 _UNBARRED_PAIRS = ((2, 3), (3, 1), (1, 2))
 
 
-def _require_three_six(P: FermionState) -> None:
-    if (P.k, P.n) != (3, 6):
-        raise ShapeError(
-            f"triple-system coordinates require (k, n) = (3, 6), got ({P.k}, {P.n})"
-        )
+def _signed_table(size: int, entries) -> np.ndarray:
+    """Index of a signed gather from a flat array of ``size`` entries into 20
+    slots (the triple-system coordinates over M_3(C), or the dense (3, 6)
+    amplitudes); ``entries`` maps a slot to (flat position p, sign +-1).
+    _signed_gather reads the flat array, its negation, then one zero, so a
+    slot reads p, or size + p for sign -1, or 2 size if not in ``entries``."""
+    index = np.full(20, 2 * size, dtype=np.intp)
+    for slot, (p, sign) in entries.items():
+        index[slot] = p if sign > 0 else size + p
+    index.setflags(write=False)
+    return index
+
+
+_PAD = np.zeros(1)
+
+
+def _signed_gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
+    flat = flat.reshape(-1)
+    return np.concatenate((flat, -flat, _PAD))[index]
+
+
+def _coordinate_tables() -> tuple[np.ndarray, np.ndarray]:
+    """to_freudenthal's table (coordinate c reads the signed amplitude of the
+    c-th triple below) and, as the map is a signed permutation, its inverse."""
+    triples = [(1, 2, 3), (4, 5, 6)]
+    triples += [(i + 1,) + pair for i in range(3) for pair in _BARRED_PAIRS]
+    triples += [(i + 4,) + pair for i in range(3) for pair in _UNBARRED_PAIRS]
+    signed = [sort_sign(triple) for triple in triples]
+    entries = {c: (_key_index(3, 6)[key], sign) for c, (sign, key) in enumerate(signed)}
+    inverse = {p: (c, sign) for c, (p, sign) in entries.items()}
+    return _signed_table(20, entries), _signed_table(20, inverse)
+
+
+_COORDINATE_TABLE, _DENSE_TABLE = _coordinate_tables()
 
 
 def to_freudenthal(P: FermionState) -> FreudenthalVector:
     """Coordinate bijection from three fermions in six modes onto the
-    triple system over 3 x 3 matrices; signed lookups absorb all parity
-    bookkeeping."""
-    _require_three_six(P)
-    a = np.empty((3, 3), dtype=complex)
-    b = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            a[i, j] = P.amplitude((i + 1,) + _BARRED_PAIRS[j])
-            b[i, j] = P.amplitude((i + 4,) + _UNBARRED_PAIRS[j])
-    return FreudenthalVector(
-        P.amplitude((1, 2, 3)), P.amplitude((4, 5, 6)), j3(a), j3(b)
-    )
+    triple system over 3 x 3 matrices: one signed gather from the dense
+    amplitudes absorbs all parity bookkeeping."""
+    if P.shape != (3, 6):
+        raise ShapeError(f"triple-system coordinates require (k, n) = (3, 6), got {P.shape}")
+    coords = _signed_gather(_dense_vector(P), _COORDINATE_TABLE)
+    return FreudenthalVector._trusted(AlgebraKind.J3, coords)
 
 
 def from_freudenthal(x: FreudenthalVector) -> FermionState:
-    """Inverse of to_freudenthal (the matrix slots must be over M_3(C))."""
-    if x.kind is not AlgebraKind.J3:
-        x = x.embed()
-    terms: list[tuple[Sequence[int], complex]] = [
-        ((1, 2, 3), x.alpha),
-        ((4, 5, 6), x.beta),
-    ]
-    a, b = x.a.matrix, x.b.matrix
-    for i in range(3):
-        for j in range(3):
-            terms.append(((i + 1,) + _BARRED_PAIRS[j], a[i, j]))
-            terms.append(((i + 4,) + _UNBARRED_PAIRS[j], b[i, j]))
-    return FermionState.from_terms(3, 6, terms)
+    """Inverse of to_freudenthal, the inverse signed gather (the matrix
+    slots are read over M_3(C))."""
+    dense = _signed_gather(x.embed().coefficients(), _DENSE_TABLE)
+    return _from_dense(3, 6, dense, cutoff=0.0)
 
 
 # -- compound (SLOCC) action ---------------------------------------------------

@@ -105,6 +105,13 @@ class JordanElement:
         vec.flags.writeable = False
         object.__setattr__(self, "coeffs", vec)
 
+    @classmethod
+    def _trusted(cls, kind: AlgebraKind, coeffs: np.ndarray) -> "JordanElement":
+        """``coeffs`` unchecked and uncopied: read-only, finite, complex."""
+        out = object.__new__(cls)
+        vars(out).update(kind=kind, coeffs=coeffs)
+        return out
+
     # -- structural views ------------------------------------------------
 
     @property

@@ -26,15 +26,17 @@ B# = alpha A and AB = BA = alpha beta 1 in M_3(C) (Krutelevich, J. Algebra
 (2009), arXiv:0809.4685), so the rank test checks those instead, and only
 after q and T(x,x,x) have both vanished.
 
-Everything here is immutable and pure; only the coordinate basis of each
-system is cached per process.
+Everything here is immutable and pure; a vector keeps its flat coordinate
+array once built, and the coordinate basis of each system is cached per
+process.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,26 +72,36 @@ DEFAULT_RANK_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FreudenthalVector:
-    """Element (alpha, beta, A, B) of M(J); A and B share one algebra."""
+    """Element (alpha, beta, A, B) of M(J); A and B share one algebra.
+    Its flat coordinates are built once and kept, read-only."""
 
     alpha: complex
     beta: complex
     a: JordanElement
     b: JordanElement
+    _coeffs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a.kind is not self.b.kind:
             raise KindMismatch("both Jordan slots must use the same algebra")
         alpha, beta = complex(self.alpha), complex(self.beta)
-        if not (
-            np.isfinite(alpha.real)
-            and np.isfinite(alpha.imag)
-            and np.isfinite(beta.real)
-            and np.isfinite(beta.imag)
-        ):
+        if not np.isfinite([alpha, beta]).all():
             raise ValueError("non-finite scalar slot")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+
+    @classmethod
+    def _trusted(cls, kind: AlgebraKind, vec: np.ndarray) -> "FreudenthalVector":
+        """The vector whose coordinates are the fresh (2 + 2d,) complex array
+        ``vec``, kept read-only with the slots as views: one finiteness
+        check, no copy."""
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite coordinate")
+        vec.flags.writeable = False
+        d, out = kind.dimension, object.__new__(cls)
+        a, b = (JordanElement._trusted(kind, v) for v in (vec[2 : 2 + d], vec[2 + d :]))
+        vars(out).update(alpha=complex(vec[0]), beta=complex(vec[1]), a=a, b=b, _coeffs=vec)
+        return out
 
     @property
     def kind(self) -> AlgebraKind:
@@ -100,10 +112,13 @@ class FreudenthalVector:
         return 2 + 2 * self.kind.dimension
 
     def coefficients(self) -> np.ndarray:
-        """Flat coordinates (alpha, beta, A-coefficients, B-coefficients)."""
-        return np.concatenate(
-            ([self.alpha, self.beta], self.a.coeffs, self.b.coeffs)
-        )
+        """Flat coordinates (alpha, beta, A-coefficients, B-coefficients),
+        read-only."""
+        if self._coeffs is None:
+            vec = np.concatenate(([self.alpha, self.beta], self.a.coeffs, self.b.coeffs))
+            vec.flags.writeable = False
+            object.__setattr__(self, "_coeffs", vec)
+        return self._coeffs
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients()))
@@ -122,20 +137,14 @@ class FreudenthalVector:
 
     def __add__(self, other: "FreudenthalVector") -> "FreudenthalVector":
         self._require(other)
-        return FreudenthalVector(
-            self.alpha + other.alpha,
-            self.beta + other.beta,
-            self.a + other.a,
-            self.b + other.b,
-        )
+        return self._trusted(self.kind, self.coefficients() + other.coefficients())
 
     def __sub__(self, other: "FreudenthalVector") -> "FreudenthalVector":
         self._require(other)
-        return self + (-1.0) * other
+        return self._trusted(self.kind, self.coefficients() - other.coefficients())
 
     def __mul__(self, scalar: complex) -> "FreudenthalVector":
-        s = complex(scalar)
-        return FreudenthalVector(s * self.alpha, s * self.beta, s * self.a, s * self.b)
+        return self._trusted(self.kind, complex(scalar) * self.coefficients())
 
     __rmul__ = __mul__
 
@@ -148,16 +157,11 @@ class FreudenthalVector:
 
 def fvector(kind: AlgebraKind, coeffs) -> FreudenthalVector:
     """Rebuild a vector from flat coordinates (inverse of coefficients())."""
-    vec = np.asarray(coeffs, dtype=complex).reshape(-1)
+    vec = np.array(coeffs, dtype=complex).reshape(-1)
     d = kind.dimension
     if vec.shape != (2 + 2 * d,):
         raise ValueError(f"expected {2 + 2 * d} coordinates for {kind.value}")
-    return FreudenthalVector(
-        vec[0],
-        vec[1],
-        JordanElement(kind, vec[2 : 2 + d]),
-        JordanElement(kind, vec[2 + d :]),
-    )
+    return FreudenthalVector._trusted(kind, vec)
 
 
 def zero_vector(kind: AlgebraKind) -> FreudenthalVector:
@@ -297,6 +301,17 @@ def triple_product(
 # -- rank stratification ------------------------------------------------------
 
 
+def _binary_scaled(arr: np.ndarray) -> np.ndarray:
+    """Complex ``arr`` divided by the power of two that puts its largest real
+    or imaginary part in [1, 2) (a zero array as it is).  The division is
+    exact: norms and products of the result stay in range at any scale, and
+    equal those of ``arr`` scaled back wherever those were in range."""
+    peak = float(np.abs(np.ascontiguousarray(arr).view(np.float64)).max())
+    if peak == 0.0:
+        return arr
+    return arr / math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
 def rank(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL) -> int:
     """SLOCC rank in 0..4.
 
@@ -325,7 +340,10 @@ def rank_margins(
        of A and B read in M_3(C) through the embedding of their algebra.
 
     Each quantity is homogeneous of the threshold's degree, so it is
-    evaluated on x / ||x|| against tol itself.  One set of Jordan pieces of
+    evaluated on x / ||x|| against tol itself.  Where ||x|| leaves
+    [1e-150, 1e150], and its squares could under- or overflow, x is first
+    divided exactly by a power of two (``_binary_scaled``), so every finite
+    x gets its verdict.  One set of Jordan pieces of
     x / ||x|| (t, the sharps and the norms) feeds all three.  Ratios within
     a factor of 10 of 1 indicate a numerically degenerate verdict; callers
     may escalate those to warnings.
@@ -334,6 +352,9 @@ def rank_margins(
         raise ValueError("tolerance must be positive")
     vec = x.coefficients()
     nx = np.linalg.norm(vec)
+    if not 1e-150 <= nx <= 1e150:
+        vec = _binary_scaled(vec)
+        nx = np.linalg.norm(vec)
     if nx == 0.0:
         return 0, []
     kind = x.kind

@@ -1,7 +1,7 @@
 """The benchmark's spans keep measuring: every function perfbench/tracing.py
-wraps still exists under the name it wraps, and the classifier reaches the
-wrapped Freudenthal images, rank test, decomposability test and cut tests
-through those names."""
+wraps still exists under the name it wraps, and the classifier and the
+embedding-route invariant reach the wrapped Freudenthal images, rank test,
+decomposability test and cut tests through those names."""
 
 import importlib
 import importlib.util
@@ -52,6 +52,9 @@ def test_classify_reaches_wrapped_image_and_rank(tracing, monkeypatch, system):
     assert names.count("classify.classify_state") == 1
     assert names.count("embed.image") == 1
     assert names.count("triple.rank_margins") == 1
+    # The embedding-route invariant builds exactly one image of its own.
+    importlib.import_module("freudenthal.classify").invariant_via_embedding(system, state)
+    assert [span[tracing.NAME] for span in tracer.take()].count("embed.image") == 1
 
 
 def test_multi_reaches_wrapped_decision_and_every_cut(tracing, monkeypatch):

@@ -301,6 +301,23 @@ class TestClassInvariance:
         assert label_core(classify_state(system, moved)) == label_core(before)
 
 
+class TestScaleSafety:
+    SCALES = (1e-170, 1e-3, 1e4, 1e160, 1e300)
+
+    def test_every_representative_keeps_its_verdict_at_any_scale(self):
+        for rep in REPS:
+            for scale in self.SCALES:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegeneracyWarning)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        label = classify_state(rep.system, scale * rep.state)
+                assert label_core(label) == label_core(rep.expected), (
+                    rep.system,
+                    rep.name,
+                    scale,
+                )
+
+
 class TestSplitting:
     def test_biseparable_images_share_fermionic_class(self):
         # The three biseparable qubit classes have distinct cut patterns
@@ -476,10 +493,12 @@ class TestRandomStates:
                 random_state(system, 7, shape=(9, 9))
             with pytest.raises(ShapeError):
                 random_group_element(system, 7, shape=(9, 9))
-            for shape in SYSTEM_TABLE[system].shapes:
-                assert np.array_equal(
-                    random_state(system, 7, shape=shape), random_state(system, 7)
-                )
+            spec = SYSTEM_TABLE[system]
+            for shape in spec.shapes:
+                # Every shape gets the requested array, holding the same draw.
+                drawn = random_state(system, 7, shape=shape)
+                assert drawn.shape == shape
+                assert np.array_equal(spec.native(drawn), random_state(system, 7))
                 random_group_element(system, 7, shape=shape)
         # General shapes still pass through.
         assert random_state("fermion", 7, shape=(2, 5)).shape == (2, 5)

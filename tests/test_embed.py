@@ -7,6 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from freudenthal.classify import (
+    SYSTEM_TABLE,
+    _tensor_cuts,
+    random_group_element,
+    random_state,
+    slocc_act,
+)
 from freudenthal.embed import (
     MultiState,
     NormalizationWarning,
@@ -36,12 +43,15 @@ from freudenthal.fermion import (
     FermionState,
     ShapeError,
     apply_matrix,
+    from_freudenthal,
     one_particle_rdm,
     pluecker_scan,
     to_freudenthal,
     wedge_of_vectors,
 )
-from freudenthal.triple import quartic_tangle, rank
+from freudenthal.jordan import j3
+from freudenthal.representatives import all_representatives
+from freudenthal.triple import FreudenthalVector, quartic_tangle, rank
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -614,3 +624,236 @@ class TestSubspaceChain:
         for m in (w.a.matrix, w.b.matrix):
             assert np.count_nonzero(m[0, 1:]) == 0
             assert np.count_nonzero(m[1:, 0]) == 0
+
+
+# -- the per-entry image maps the gather tables replaced, kept as references --
+
+_REF_PAIRS = tuple(itertools.combinations(range(4), 2))
+_REF_BARRED = ((5, 6), (6, 4), (4, 5))
+_REF_UNBARRED = ((2, 3), (3, 1), (1, 2))
+
+
+def _ref_three_qubit_to_freudenthal(a):
+    return FreudenthalVector(
+        a[0, 0, 0],
+        a[1, 1, 1],
+        j3(np.diag([a[0, 1, 1], a[1, 0, 1], a[1, 1, 0]])),
+        j3(np.diag([a[1, 0, 0], a[0, 1, 0], a[0, 0, 1]])),
+    )
+
+
+def _ref_three_qubit_to_fermion(a):
+    terms = [
+        ((1 + 3 * i, 2 + 3 * j, 3 + 3 * k), a[i, j, k])
+        for i, j, k in np.ndindex(2, 2, 2)
+    ]
+    return FermionState.from_terms(3, 6, terms)
+
+
+def _ref_boson2q_to_freudenthal(b):
+    return FreudenthalVector(
+        b[0, 0],
+        b[1, 2],
+        j3(np.diag([b[0, 2], b[1, 1], b[1, 1]])),
+        j3(np.diag([b[1, 0], b[0, 1], b[0, 1]])),
+    )
+
+
+def _ref_boson3_to_freudenthal(c):
+    eye = np.eye(3)
+    return FreudenthalVector(c[0], c[3], j3(c[2] * eye), j3(c[1] * eye))
+
+
+def _ref_pair_amplitude(packed, i, j, k):
+    if j == k:
+        return 0.0
+    if j < k:
+        return packed[i, _REF_PAIRS.index((j, k))]
+    return -packed[i, _REF_PAIRS.index((k, j))]
+
+
+def _ref_qubit_fermion4_to_freudenthal(p):
+    def pa(i, j, k):
+        return _ref_pair_amplitude(p, i, j, k)
+
+    A = np.array(
+        [
+            [pa(0, 2, 3), 0.0, 0.0],
+            [0.0, pa(1, 0, 3), pa(1, 2, 0)],
+            [0.0, pa(1, 1, 3), pa(1, 2, 1)],
+        ]
+    )
+    B = np.array(
+        [
+            [pa(1, 0, 1), 0.0, 0.0],
+            [0.0, pa(0, 2, 1), pa(0, 0, 2)],
+            [0.0, pa(0, 3, 1), pa(0, 0, 3)],
+        ]
+    )
+    return FreudenthalVector(pa(0, 0, 1), pa(1, 2, 3), j3(A), j3(B))
+
+
+def _ref_qubit_fermion4_to_fermion(p):
+    modes = (2, 3, 5, 6)
+    terms = []
+    for i in range(2):
+        qubit_mode = 1 if i == 0 else 4
+        for col, (j, k) in enumerate(_REF_PAIRS):
+            terms.append(((qubit_mode, modes[j], modes[k]), p[i, col]))
+    return FermionState.from_terms(3, 6, terms)
+
+
+def _ref_to_freudenthal(P):
+    a = np.empty((3, 3), dtype=complex)
+    b = np.empty((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            a[i, j] = P.amplitude((i + 1,) + _REF_BARRED[j])
+            b[i, j] = P.amplitude((i + 4,) + _REF_UNBARRED[j])
+    return FreudenthalVector(
+        P.amplitude((1, 2, 3)), P.amplitude((4, 5, 6)), j3(a), j3(b)
+    )
+
+
+def _ref_from_freudenthal(x):
+    terms = [((1, 2, 3), x.alpha), ((4, 5, 6), x.beta)]
+    a, b = x.a.matrix, x.b.matrix
+    for i in range(3):
+        for j in range(3):
+            terms.append(((i + 1,) + _REF_BARRED[j], a[i, j]))
+            terms.append(((i + 4,) + _REF_UNBARRED[j], b[i, j]))
+    return FermionState.from_terms(3, 6, terms)
+
+
+def _parity_states():
+    """(system, canonical state): every ranked representative, 64 seeded
+    SLOCC images of each, random states, and all of them at 1e-7 and 1e8."""
+    states = []
+    for rep in all_representatives():
+        states.append((rep.system, rep.state))
+        for seed in range(64):
+            element = random_group_element(rep.system, seed)
+            states.append((rep.system, slocc_act(rep.state, element)))
+    for system in ("fermion", "qubit3", "boson2q", "boson3", "qubit_fermion4"):
+        for seed in range(16):
+            states.append((system, random_state(system, seed)))
+    scaled = [(system, scale * state) for scale in (1e-7, 1e8) for system, state in states]
+    return [
+        (system, SYSTEM_TABLE[system].native(state)) for system, state in states + scaled
+    ]
+
+
+def _same_fermion_state(P, Q):
+    assert P.shape == Q.shape
+    assert set(P.amplitudes) == set(Q.amplitudes)
+    keys = sorted(P.amplitudes)
+    assert np.array_equal(
+        [P.amplitudes[k] for k in keys], [Q.amplitudes[k] for k in keys]
+    )
+
+
+class TestGatherTableParity:
+    """Every signed gather table against the per-entry map it replaced:
+    the same coordinates and amplitudes, bit for bit."""
+
+    IMAGES = {
+        "qubit3": (three_qubit_to_freudenthal, _ref_three_qubit_to_freudenthal),
+        "boson2q": (
+            lambda b: boson2q_to_freudenthal(b, check_norm=False),
+            _ref_boson2q_to_freudenthal,
+        ),
+        "boson3": (
+            lambda c: boson3_to_freudenthal(c, check_norm=False),
+            _ref_boson3_to_freudenthal,
+        ),
+        "qubit_fermion4": (
+            qubit_fermion4_to_freudenthal,
+            _ref_qubit_fermion4_to_freudenthal,
+        ),
+        "fermion": (to_freudenthal, _ref_to_freudenthal),
+    }
+    FERMION_MAPS = {
+        "qubit3": (three_qubit_to_fermion, _ref_three_qubit_to_fermion),
+        "qubit_fermion4": (qubit_fermion4_to_fermion, _ref_qubit_fermion4_to_fermion),
+    }
+
+    def test_images_and_fermionic_maps_match_the_references(self):
+        counts = dict.fromkeys(self.IMAGES, 0)
+        for system, state in _parity_states():
+            image, reference = self.IMAGES[system]
+            x, want = image(state), reference(state)
+            assert np.array_equal(x.coefficients(), want.coefficients()), system
+            assert (x.alpha, x.beta) == (want.alpha, want.beta)
+            assert np.array_equal(x.a.coeffs, want.a.coeffs)
+            assert np.array_equal(x.b.coeffs, want.b.coeffs)
+            _same_fermion_state(from_freudenthal(x), _ref_from_freudenthal(want))
+            if system in self.FERMION_MAPS:
+                fermionic, reference = self.FERMION_MAPS[system]
+                _same_fermion_state(fermionic(state), reference(state))
+            counts[system] += 1
+        assert min(counts.values()) >= 2 * 64
+
+    def test_non_finite_amplitudes_still_raise(self):
+        for system, (image, _) in self.IMAGES.items():
+            if system == "fermion":
+                continue
+            state = SYSTEM_TABLE[system].native(random_state(system, 1))
+            for bad in (np.nan, np.inf):
+                broken = state.copy()
+                broken.reshape(-1)[-1] = bad
+                with pytest.raises(ValueError):
+                    image(broken)
+                if system in self.FERMION_MAPS:
+                    with pytest.raises(ValueError):
+                        self.FERMION_MAPS[system][0](broken)
+
+    def test_coordinates_are_cached_and_read_only(self, rng):
+        x = three_qubit_to_freudenthal(
+            rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        )
+        assert x.coefficients() is x.coefficients()
+        with pytest.raises(ValueError):
+            x.coefficients()[0] = 1.0
+        assert np.shares_memory(x.a.coeffs, x.coefficients())
+
+
+def _tensor_cut_states(rng):
+    """qubit3 arrays: products, the three kinds of biseparable state,
+    generic states, and products nudged toward a generic state."""
+
+    def vec(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    for _ in range(4):
+        yield np.einsum("i,j,k->ijk", vec(2), vec(2), vec(2))
+        pair = vec(4).reshape(2, 2)
+        yield np.einsum("i,jk->ijk", vec(2), pair)
+        yield np.einsum("j,ik->ijk", vec(2), pair)
+        yield np.einsum("k,ij->ijk", vec(2), pair)
+        yield vec(8).reshape(2, 2, 2)
+    for eps in np.logspace(-12, -4, 17):
+        product = np.einsum("i,j,k->ijk", vec(2), vec(2), vec(2))
+        product /= np.linalg.norm(product)
+        generic = vec(8).reshape(2, 2, 2)
+        yield product + eps * generic / np.linalg.norm(generic)
+
+
+class TestTensorCutParity:
+    """classify._tensor_cuts (flattenings of the canonical array) against
+    factors_across_cut on the MultiState of the same array, the route the
+    three-qubit cut test took before."""
+
+    def test_qubit3_cuts_match_factors_across_cut(self, rng):
+        spec = SYSTEM_TABLE["qubit3"]
+        patterns = set()
+        for a in _tensor_cut_states(rng):
+            for scale in (1.0, 1e-7, 1e8):
+                scaled = scale * a
+                want = tuple(
+                    bp
+                    for bp in bipartitions(3)
+                    if factors_across_cut(multistate_from_tensor(scaled), bp[0])
+                )
+                assert _tensor_cuts(spec, scaled, 1e-8) == want, (scaled, scale)
+                patterns.add(len(want))
+        assert patterns == {0, 1, 3}

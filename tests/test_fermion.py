@@ -418,6 +418,13 @@ class TestApplyMatrix:
         with pytest.raises(ShapeError):
             apply_matrix(ghz6(), np.eye(5))
 
+    def test_overflow_to_nan_raises(self):
+        # The compound overflows (inf * 0 = nan, inf - inf = nan) in the
+        # amplitudes that would be pruned as well as in the kept ones.
+        P = FermionState(2, 4, {(1, 2): 1e300})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            apply_matrix(P, 1e300 * np.eye(4))
+
 
 # -- independent references ----------------------------------------------------
 

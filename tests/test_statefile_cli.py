@@ -231,6 +231,19 @@ class TestCliClassify:
         assert payload["name"] == "biseparable"
         assert payload["cut_pattern"] == [[[2], [1, 3]]]
 
+    def test_overflowed_report_value_is_null(self, capsys, tmp_path):
+        # GHZ at amplitude 1e160: the rank test rescales, the tangle overflows.
+        big = tmp_path / "big.json"
+        ghz = np.zeros((2, 2, 2), dtype=complex)
+        ghz[0, 0, 0] = ghz[1, 1, 1] = 1e160
+        big.write_text(dump_state_text(StateFile("qubit3", ghz)))
+        code, out, _ = run_cli(capsys, "classify", str(big), "--json")
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out
+        payload = json.loads(out)
+        assert (payload["rank"], payload["name"]) == (4, "GHZ")
+        assert payload["invariants_report"]["tangle_abs"] is None
+
     def test_corpus_matches_expectations(self, capsys):
         for rep in all_representatives():
             path = corpus_path(f"{rep.system}_{rep.name}.json")
