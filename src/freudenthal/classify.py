@@ -669,8 +669,10 @@ def random_state(system: str, seed, shape=None):
     size = spec.shapes[0]
     arr = rng.normal(size=size) + 1j * rng.normal(size=size)
     arr /= np.linalg.norm(arr) if spec.weights is None else math.sqrt(spec.norm_sq(arr))
-    # The one other dense shape, qubit_fermion4's full antisymmetric array.
-    return arr if tuple(shape) == size else _unpack_antisymmetric_pair(arr)
+    if tuple(shape) == size:
+        return arr
+    assert tuple(shape) == (2, 4, 4), "only qubit_fermion4 has a second dense shape"
+    return _unpack_antisymmetric_pair(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -108,19 +108,11 @@ def _matrix_payload(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
 
 
-def _finite(value):
-    """``value`` with None for every non-finite float (an overflowed
-    invariant), which JSON output writes as null."""
-    if isinstance(value, dict):
-        return {key: _finite(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def _emit(args, lines: list[str], payload: dict) -> None:
+def _emit(args, lines: list[str], payload: dict | list) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(_finite(payload), indent=2))
+        # null for a non-finite number (an overflowed invariant)
+        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))
 
@@ -238,7 +230,7 @@ def _cmd_classify(args) -> int:
                 for line in lines[1:]:
                     print(f"  {line}")
         if args.json:
-            print(json.dumps(_finite(records), indent=2))
+            _emit(args, [], records)
         return worst
     if not args.file:
         raise _Failure("classify needs a FILE or --batch DIR", EXIT_PARSE)

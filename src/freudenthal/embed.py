@@ -53,6 +53,7 @@ from .fermion import (
     _rdm_numerator,
     _signed_gather,
     _signed_table,
+    _wedge_table,
     is_decomposable,
     one_particle_rdm,
     sort_sign,
@@ -482,20 +483,10 @@ _QF4_TABLE = _signed_table(12, {
                          7: (1, 2, 0), 9: (1, 1, 3), 10: (1, 2, 1), 11: (1, 0, 1),
                          15: (0, 2, 1), 16: (0, 0, 2), 18: (0, 3, 1), 19: (0, 0, 3)}.items()
 })
-
-
-def _fermion_table(size: int, triples) -> np.ndarray:
-    """Table onto the dense (3, 6) amplitudes: flat position p holds the
-    amplitude of the mode triple triples[p], parity folded."""
-    signed = [sort_sign(triple) for triple in triples]
-    return _signed_table(
-        size, {_key_index(3, 6)[key]: (p, sign) for p, (sign, key) in enumerate(signed)}
-    )
-
-
-_QUBIT3_FERMION_TABLE = _fermion_table(
+# The images in the dense (3, 6) amplitudes, in the mode conventions above.
+_QUBIT3_FERMION_TABLE = _wedge_table(
     8, [(1 + 3 * i, 2 + 3 * j, 3 + 3 * k) for i, j, k in np.ndindex(2, 2, 2)])
-_QF4_FERMION_TABLE = _fermion_table(12, [
+_QF4_FERMION_TABLE = _wedge_table(12, [
     (1 + 3 * i, _FERMION4_MODES[j], _FERMION4_MODES[k])
     for i in range(2) for j, k in _PAIR_SLOTS
 ])
@@ -625,7 +616,7 @@ def boson2q_to_three_qubit(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 3):
         raise ShapeError(f"expected a 2x3 amplitude array, got {b.shape}")
-    return b[:, [[0, 1], [1, 2]]]
+    return b.take([[0, 1], [1, 2]], axis=1)  # C order: einsum rounds by layout
 
 
 def three_qubit_to_qubit_fermion4(a: np.ndarray) -> np.ndarray:

@@ -468,9 +468,9 @@ _UNBARRED_PAIRS = ((2, 3), (3, 1), (1, 2))
 def _signed_table(size: int, entries) -> np.ndarray:
     """Index of a signed gather from a flat array of ``size`` entries into 20
     slots (the triple-system coordinates over M_3(C), or the dense (3, 6)
-    amplitudes); ``entries`` maps a slot to (flat position p, sign +-1).
-    _signed_gather reads the flat array, its negation, then one zero, so a
-    slot reads p, or size + p for sign -1, or 2 size if not in ``entries``."""
+    amplitudes).  ``entries`` maps a slot to (flat position p, sign +-1);
+    _signed_gather reads [flat, -flat, 0], so the slot gets p, size + p for
+    sign -1, or 2 size when it is not in ``entries``."""
     index = np.full(20, 2 * size, dtype=np.intp)
     for slot, (p, sign) in entries.items():
         index[slot] = p if sign > 0 else size + p
@@ -478,27 +478,30 @@ def _signed_table(size: int, entries) -> np.ndarray:
     return index
 
 
-_PAD = np.zeros(1)
-
-
 def _signed_gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
     flat = flat.reshape(-1)
-    return np.concatenate((flat, -flat, _PAD))[index]
+    return np.concatenate((flat, -flat, np.zeros(1)))[index]
 
 
-def _coordinate_tables() -> tuple[np.ndarray, np.ndarray]:
-    """to_freudenthal's table (coordinate c reads the signed amplitude of the
-    c-th triple below) and, as the map is a signed permutation, its inverse."""
-    triples = [(1, 2, 3), (4, 5, 6)]
-    triples += [(i + 1,) + pair for i in range(3) for pair in _BARRED_PAIRS]
-    triples += [(i + 4,) + pair for i in range(3) for pair in _UNBARRED_PAIRS]
-    signed = [sort_sign(triple) for triple in triples]
-    entries = {c: (_key_index(3, 6)[key], sign) for c, (sign, key) in enumerate(signed)}
-    inverse = {p: (c, sign) for c, (p, sign) in entries.items()}
-    return _signed_table(20, entries), _signed_table(20, inverse)
+def _wedge_table(size: int, triples) -> np.ndarray:
+    """Table onto the dense (3, 6) amplitudes from a flat array of ``size``
+    entries, entry p carrying the mode triple triples[p], parity folded."""
+    signed = map(sort_sign, triples)
+    return _signed_table(size, {_key_index(3, 6)[key]: (p, s) for p, (s, key) in enumerate(signed)})
 
 
-_COORDINATE_TABLE, _DENSE_TABLE = _coordinate_tables()
+# Coordinate c of to_freudenthal reads the signed amplitude of triple c.
+_COORDINATE_TRIPLES = (
+    [(1, 2, 3), (4, 5, 6)]
+    + [(i + 1,) + pair for i in range(3) for pair in _BARRED_PAIRS]
+    + [(i + 4,) + pair for i in range(3) for pair in _UNBARRED_PAIRS]
+)
+_DENSE_TABLE = _wedge_table(20, _COORDINATE_TRIPLES)
+# The map is a signed permutation: coordinate c reads dense slot p wherever
+# _DENSE_TABLE[p] is c (same sign) or 20 + c (negated).
+_COORDINATE_TABLE = _signed_table(
+    20, {int(i) % 20: (p, 1 if i < 20 else -1) for p, i in enumerate(_DENSE_TABLE)}
+)
 
 
 def to_freudenthal(P: FermionState) -> FreudenthalVector:

@@ -79,7 +79,7 @@ class FreudenthalVector:
     beta: complex
     a: JordanElement
     b: JordanElement
-    _coeffs: np.ndarray | None = field(default=None, init=False, repr=False)
+    _coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a.kind is not self.b.kind:
@@ -87,14 +87,14 @@ class FreudenthalVector:
         alpha, beta = complex(self.alpha), complex(self.beta)
         if not np.isfinite([alpha, beta]).all():
             raise ValueError("non-finite scalar slot")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        vec = np.concatenate(([alpha, beta], self.a.coeffs, self.b.coeffs))
+        vec.flags.writeable = False
+        vars(self).update(alpha=alpha, beta=beta, _coeffs=vec)
 
     @classmethod
     def _trusted(cls, kind: AlgebraKind, vec: np.ndarray) -> "FreudenthalVector":
-        """The vector whose coordinates are the fresh (2 + 2d,) complex array
-        ``vec``, kept read-only with the slots as views: one finiteness
-        check, no copy."""
+        """The vector on the fresh (2 + 2d,) complex coordinate array ``vec``,
+        kept read-only with the slots as views: one finiteness check, no copy."""
         if not np.isfinite(vec).all():
             raise ValueError("non-finite coordinate")
         vec.flags.writeable = False
@@ -114,10 +114,6 @@ class FreudenthalVector:
     def coefficients(self) -> np.ndarray:
         """Flat coordinates (alpha, beta, A-coefficients, B-coefficients),
         read-only."""
-        if self._coeffs is None:
-            vec = np.concatenate(([self.alpha, self.beta], self.a.coeffs, self.b.coeffs))
-            vec.flags.writeable = False
-            object.__setattr__(self, "_coeffs", vec)
         return self._coeffs
 
     def norm(self) -> float:
@@ -303,13 +299,10 @@ def triple_product(
 
 def _binary_scaled(arr: np.ndarray) -> np.ndarray:
     """Complex ``arr`` divided by the power of two that puts its largest real
-    or imaginary part in [1, 2) (a zero array as it is).  The division is
-    exact: norms and products of the result stay in range at any scale, and
-    equal those of ``arr`` scaled back wherever those were in range."""
+    or imaginary part in [1, 2).  The division is exact above the subnormal
+    range, and norms and products of the result stay in range at any scale."""
     peak = float(np.abs(np.ascontiguousarray(arr).view(np.float64)).max())
-    if peak == 0.0:
-        return arr
-    return arr / math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return arr / math.ldexp(1.0, math.frexp(peak)[1] - 1)  # a zero array stays zero
 
 
 def rank(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -340,21 +333,17 @@ def rank_margins(
        of A and B read in M_3(C) through the embedding of their algebra.
 
     Each quantity is homogeneous of the threshold's degree, so it is
-    evaluated on x / ||x|| against tol itself.  Where ||x|| leaves
-    [1e-150, 1e150], and its squares could under- or overflow, x is first
-    divided exactly by a power of two (``_binary_scaled``), so every finite
-    x gets its verdict.  One set of Jordan pieces of
-    x / ||x|| (t, the sharps and the norms) feeds all three.  Ratios within
-    a factor of 10 of 1 indicate a numerically degenerate verdict; callers
-    may escalate those to warnings.
+    evaluated on x / ||x|| against tol itself, after an exact division by
+    a power of two (``_binary_scaled``) so that ||x|| cannot under- or
+    overflow.  One set of Jordan pieces of x / ||x|| (t, the sharps and
+    the norms) feeds all three.  Ratios within a factor of 10 of 1
+    indicate a numerically degenerate verdict; callers may escalate those
+    to warnings.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    vec = x.coefficients()
+    vec = _binary_scaled(x.coefficients())
     nx = np.linalg.norm(vec)
-    if not 1e-150 <= nx <= 1e150:
-        vec = _binary_scaled(vec)
-        nx = np.linalg.norm(vec)
     if nx == 0.0:
         return 0, []
     kind = x.kind

@@ -222,6 +222,22 @@ class TestGroupActions:
         for j, k, l in itertools.product(range(2), repeat=3):
             assert full_c[j, k, l] == pytest.approx(moved_c[j + k + l])
 
+    def test_boson2q_action_is_bitwise_that_of_the_per_entry_tensor(self):
+        # einsum's rounding follows the memory layout of its operands, so
+        # the inclusion map must hand it the C-ordered tensor that a
+        # per-entry construction gives.
+        for seed in range(16):
+            b = random_state("boson2q", seed=seed)
+            g = random_group_element("boson2q", seed=seed)
+            tensor = np.empty((2, 2, 2), dtype=complex)
+            for j, k in itertools.product(range(2), repeat=2):
+                tensor[:, j, k] = b[:, j + k]
+            g1, g2 = g.matrices
+            full = np.einsum("ia,jb,kc,abc->ijk", g1, g2, g2, tensor)
+            moved = slocc_act(b, g)
+            assert moved[:, 0].tobytes() == full[:, 0, 0].tobytes()
+            assert moved[:, 2].tobytes() == full[:, 1, 1].tobytes()
+
     def test_antisymmetric_form_preserved(self, rng):
         full = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         full = full - full.transpose(0, 2, 1)
