@@ -34,7 +34,6 @@ cuts listed, or entangled.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -71,9 +70,11 @@ from .fermion import (
     FermionState,
     ShapeError,
     _compound_columns,
+    _dimension,
     apply_matrix,
+    decomposability_ratio,
     is_decomposable,
-    pluecker_scan,
+    pluecker_scan,  # noqa: F401  (perfbench/tracing.py wraps it here)
     to_freudenthal,
     wedge_power_norm,
 )
@@ -461,8 +462,7 @@ def _general_report(merged: FermionState) -> dict:
 def _classify_fermion_general(state: FermionState, tol: float) -> ClassLabel:
     if state.is_zero():
         raise ValueError("cannot classify the zero state")
-    worst, _ = pluecker_scan(state)
-    ratio = worst / (tol * state.norm() ** 2)
+    ratio = decomposability_ratio(state, tol)
     _warn_if_close([ratio], f"decomposability test for shape ({state.k}, {state.n})")
     name = "separable" if ratio <= 1.0 else "entangled"
     return ClassLabel(
@@ -509,23 +509,12 @@ def classify_state(system: str, state, tol: float = DEFAULT_TOL) -> ClassLabel:
 
 
 def _act_on_species(psi: MultiState, species_index: int, matrix: np.ndarray) -> MultiState:
-    shape = psi.shape
-    k_i, n_i = shape.species[species_index]
-    local = shape.local_keys(species_index + 1)
-    position = {key: j for j, key in enumerate(local)}
-    contexts: dict = {}
-    for key, value in psi.amplitudes.items():
-        ctx = key[:species_index] + key[species_index + 1 :]
-        vec = contexts.setdefault(ctx, np.zeros(len(local), dtype=complex))
-        vec[position[key[species_index]]] += value
-    columns = np.array(list(contexts.values())).reshape(len(contexts), len(local))
-    moved = _compound_columns(matrix, columns.T, k_i)
-    amp: dict = {}
-    for ctx, out in zip(contexts, moved.T):
-        for j, value in enumerate(out):
-            if value != 0:
-                amp[ctx[:species_index] + (local[j],) + ctx[species_index:]] = value
-    return MultiState(shape, amp)
+    """The compound of ``matrix`` on the axis of one species: each slice of
+    the tensor along that axis is one column of _compound_columns."""
+    tensor = np.moveaxis(psi._array, species_index, 0)
+    columns = tensor.reshape(len(tensor), -1)
+    moved = _compound_columns(matrix, columns, psi.shape.species[species_index][0])
+    return MultiState._wrap(psi.shape, np.moveaxis(moved.reshape(tensor.shape), 0, species_index))
 
 
 def _act_multi(psi: MultiState, mats: Sequence[np.ndarray]) -> MultiState:
@@ -635,22 +624,19 @@ def _as_system_shape(shape) -> SystemShape:
     return shape if isinstance(shape, SystemShape) else SystemShape(tuple(shape))
 
 
+def _normal_pairs(rng: np.random.Generator, dims: tuple[int, ...]) -> np.ndarray:
+    """complex(rng.normal(), rng.normal()) for each entry, in C order."""
+    return rng.normal(size=dims + (2,)).view(complex)[..., 0]
+
+
 def _draw_fermion(rng: np.random.Generator, shape) -> FermionState:
     k, n = int(shape[0]), int(shape[1])
-    amp = {
-        key: complex(rng.normal(), rng.normal())
-        for key in itertools.combinations(range(1, n + 1), k)
-    }
-    return FermionState(k, n, amp)
+    return FermionState._wrap(k, n, _normal_pairs(rng, (_dimension(k, n),)), 0.0)
 
 
 def _draw_multi(rng: np.random.Generator, shape) -> MultiState:
     sys_shape = _as_system_shape(shape)
-    keys = itertools.product(
-        *(sys_shape.local_keys(i) for i in range(1, sys_shape.num_species + 1))
-    )
-    amp = {key: complex(rng.normal(), rng.normal()) for key in keys}
-    return MultiState(sys_shape, amp)
+    return MultiState._wrap(sys_shape, _normal_pairs(rng, sys_shape.dims))
 
 
 def random_state(system: str, seed, shape=None):
@@ -694,9 +680,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             matrix_sizes=lambda shape: (int(shape[1]),),
             act=lambda state, mats: apply_matrix(state, mats[0]),
             fermion=lambda state: state,
-            multistate=lambda state: MultiState(
-                SystemShape((state.shape,)), {(key,): v for key, v in state.amplitudes.items()}
-            ),
+            multistate=lambda state: MultiState._wrap(SystemShape((state.shape,)), state._array),
             freudenthal=lambda state: to_freudenthal(state),
             embedded_tangle=lambda state: 2.0 * abs(quartic_form(to_freudenthal(state))),
             general=_classify_fermion_general,
@@ -754,14 +738,8 @@ SYSTEM_TABLE: Mapping[str, System] = {
             matrix_sizes=lambda shape: (2, 4),
             act=_act_qubit_fermion4,
             fermion=qubit_fermion4_to_fermion,
-            multistate=lambda d: MultiState(
-                SystemShape(((1, 2), (2, 4))),
-                {
-                    ((bit + 1,), (a + 1, b + 1)): d[bit, column]
-                    for bit in range(2)
-                    for column, (a, b) in enumerate(_PAIR_SLOTS)
-                },
-            ),
+            # The packed columns are the lex-ordered pairs of the four modes.
+            multistate=lambda d: MultiState._wrap(SystemShape(((1, 2), (2, 4))), d),
             freudenthal=lambda d: qubit_fermion4_to_freudenthal(d),
             tangle=_qubit_fermion4_tangle,
             embedded_tangle=lambda d: _abs_tangle(

@@ -298,15 +298,17 @@ def _cmd_rdm(args) -> int:
             EXIT_SHAPE,
         )
     state = statefile.state
+    if not isinstance(state, FermionState):
+        state = spec.multistate(state)
+    norm = state.norm()
+    if norm == 0.0:
+        raise _Failure("cannot reduce the zero state", EXIT_SHAPE)
+    state = (1.0 / norm) * state
     lines = []
     payload: dict = {"system": system}
     if isinstance(state, FermionState):
-        norm = state.norm()
-        if norm == 0.0:
-            raise _Failure("cannot reduce the zero state", EXIT_SHAPE)
-        normalized = (1.0 / norm) * state
-        rho = one_particle_rdm(normalized)
-        defect = idempotency_defect(normalized)
+        rho = one_particle_rdm(state)
+        defect = idempotency_defect(state)
         lines.append(f"one-particle reduced density matrix ({state.n} modes):")
         lines += _matrix_lines(rho)
         lines.append(f"idempotency defect of {state.k}*rho = {defect:.6f}")
@@ -314,18 +316,13 @@ def _cmd_rdm(args) -> int:
             rho=_matrix_payload(rho), idempotency_defect=defect
         )
     else:
-        psi = spec.multistate(state)
-        norm = psi.norm()
-        if norm == 0.0:
-            raise _Failure("cannot reduce the zero state", EXIT_SHAPE)
-        psi = (1.0 / norm) * psi
-        rho, blocks = embedded_rdm_blocks(psi)
+        rho, blocks = embedded_rdm_blocks(state)
         residual = float(
-            np.linalg.norm(rho - rdm_direct_sum(psi.shape, blocks))
+            np.linalg.norm(rho - rdm_direct_sum(state.shape, blocks))
         )
         lines.append(
             f"merged one-particle reduced density matrix "
-            f"({psi.shape.total_modes} modes):"
+            f"({state.shape.total_modes} modes):"
         )
         lines += _matrix_lines(rho)
         payload["rho"] = _matrix_payload(rho)

@@ -3,12 +3,14 @@
 Two layers live here.
 
 The general layer handles any mixture of fermionic species: ``MultiState``
-stores a state of N species (k_i particles in n_i modes each) and
-``merge_species`` maps it isometrically into the (sum k_i)-th wedge power
-of the direct-sum mode space by shifting each species' modes past the
-previous blocks.  A state is a tensor product of per-species decomposable
-factors exactly when its merged image is decomposable (by kernel rank, or
-the paper's Plücker relations): ``separability_via_embedding``.  One
+stores a state of N species (k_i particles in n_i modes each) as one
+read-only complex tensor, axis i over the C(n_i, k_i) lex-ordered local
+keys of species i, and ``merge_species`` maps it isometrically into the
+(sum k_i)-th wedge power of the direct-sum mode space by shifting each
+species' modes past the previous blocks, one scatter of the tensor.  A
+state is a tensor product of per-species decomposable factors exactly
+when its merged image is decomposable (by kernel rank, or the paper's
+Plücker relations): ``separability_via_embedding``.  One
 rank-one test of a flattening of the dense tensor decides every
 one-vs-rest cut of all-qubit shapes (``qubit_separability_direct``) and
 any grouping of the species (``factors_across_cut``).  The one-particle
@@ -39,6 +41,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -46,13 +49,19 @@ import numpy as np
 
 from .fermion import (
     DEFAULT_TOL,
+    NORM_CHECK_TOL,
     FermionState,
     ShapeError,
-    _from_dense,
+    _combos,
+    _dimension,
     _key_index,
+    _key_position,
+    _ArrayState,
+    _lex_rank,
     _rdm_numerator,
     _signed_gather,
     _signed_table,
+    _store,
     _wedge_table,
     is_decomposable,
     one_particle_rdm,
@@ -90,8 +99,6 @@ __all__ = [
 LocalKey = tuple[int, ...]
 MultiKey = tuple[LocalKey, ...]
 
-NORM_CHECK_TOL = 1e-6
-
 
 class NormalizationWarning(UserWarning):
     """Input expected to be normalized under its weighted convention is not."""
@@ -99,7 +106,9 @@ class NormalizationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SystemShape:
-    """Species list for a composite fermionic system: (k_i, n_i) per species."""
+    """Species list for a composite fermionic system: (k_i, n_i) per species.
+    The merged wedge power, of dimension C(sum n_i, sum k_i), may not exceed
+    MAX_DIMENSION (ShapeError)."""
 
     species: tuple[tuple[int, int], ...]
 
@@ -111,6 +120,7 @@ class SystemShape:
             if k < 1 or n < k:
                 raise ShapeError(f"invalid species shape (k={k}, n={n})")
         object.__setattr__(self, "species", species)
+        _dimension(self.total_particles, self.total_modes)
 
     @property
     def num_species(self) -> int:
@@ -142,49 +152,43 @@ class SystemShape:
         return tuple(math.comb(n, k) for k, n in self.species)
 
 
-class MultiState:
-    """Immutable state of several fermionic species.
+class MultiState(_ArrayState):
+    """Immutable state of several fermionic species: one read-only complex
+    tensor, axis i over the lex-ordered local keys of species i.
 
     Amplitudes are keyed by one sorted mode tuple per species, each local
     and 1-based; the key ((1,), (2, 3)) means the first species' particle
     in its mode 1 and the second species' pair in its modes 2 and 3.
     """
 
-    __slots__ = ("shape", "_amp", "_tensor")
+    __slots__ = ("shape", "_array")
 
     def __init__(self, shape: SystemShape, amplitudes: Mapping[MultiKey, complex]):
         if not isinstance(shape, SystemShape):
             shape = SystemShape(tuple(shape))
-        amp: dict[MultiKey, complex] = {}
+        array = np.zeros(shape.dims, dtype=complex)
         for key, value in amplitudes.items():
-            key = tuple(tuple(int(m) for m in part) for part in key)
-            self._validate_key(shape, key)
-            value = complex(value)
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-                raise ValueError(f"non-finite amplitude at {key}")
-            if value != 0.0:
-                amp[key] = value
+            if len(key) != shape.num_species:
+                raise ShapeError(f"key {key} has {len(key)} parts, expected "
+                                 f"{shape.num_species}")
+            array[tuple(
+                _key_position(part, k, n) for part, (k, n) in zip(key, shape.species)
+            )] = complex(value)
+        self._fill(shape, array)
+
+    def _fill(self, shape: SystemShape, array: np.ndarray) -> "MultiState":
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_amp", amp)
-        object.__setattr__(self, "_tensor", None)
+        object.__setattr__(self, "_array", _store(array, 0.0))
+        return self
 
-    @staticmethod
-    def _validate_key(shape: SystemShape, key: MultiKey) -> None:
-        if len(key) != shape.num_species:
-            raise ShapeError(f"key {key} has {len(key)} parts, expected "
-                             f"{shape.num_species}")
-        for part, (k, n) in zip(key, shape.species):
-            if len(part) != k:
-                raise ShapeError(f"key part {part} has length {len(part)}, "
-                                 f"expected {k}")
-            if any(m < 1 or m > n for m in part):
-                raise ShapeError(f"key part {part} outside modes 1..{n}")
-            if any(part[i] >= part[i + 1] for i in range(k - 1)):
-                raise ShapeError(f"key part {part} is not strictly increasing; "
-                                 "use from_terms for unsorted mode sequences")
+    @classmethod
+    def _wrap(cls, shape: SystemShape, array: np.ndarray) -> "MultiState":
+        """The state with amplitude tensor ``array`` (of shape ``shape.dims``),
+        stored by fermion._store."""
+        return object.__new__(cls)._fill(shape, array)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiState is immutable")
+    def _like(self, array: np.ndarray) -> "MultiState":
+        return MultiState._wrap(self.shape, array)
 
     @classmethod
     def from_terms(
@@ -210,67 +214,64 @@ class MultiState:
 
     @property
     def amplitudes(self) -> Mapping[MultiKey, complex]:
-        return MappingProxyType(self._amp)
+        """The nonzero amplitudes in key order, as a read-only mapping built
+        on each access."""
+        nonzero = np.nonzero(self._array)
+        parts = [
+            map(tuple, (_combos(n, k)[i] + 1).tolist())
+            for (k, n), i in zip(self.shape.species, nonzero)
+        ]
+        return MappingProxyType(dict(zip(zip(*parts), self._array[nonzero].tolist())))
 
     def amplitude(self, key: Sequence[Sequence[int]]) -> complex:
+        if len(key) != self.shape.num_species:
+            return 0.0
         sign = 1
-        parts = []
-        for part in key:
+        index = []
+        for part, (k, n) in zip(key, self.shape.species):
             s, sorted_part = sort_sign(tuple(part))
-            if s == 0:
-                return 0.0
             sign *= s
-            parts.append(sorted_part)
-        return sign * self._amp.get(tuple(parts), 0.0)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self._amp.values())))
-
-    def is_zero(self) -> bool:
-        return not self._amp
-
-    def __add__(self, other: "MultiState") -> "MultiState":
-        if not isinstance(other, MultiState):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError("states have different shapes")
-        amp = dict(self._amp)
-        for key, value in other._amp.items():
-            amp[key] = amp.get(key, 0.0) + value
-        return MultiState(self.shape, amp)
-
-    def __sub__(self, other: "MultiState") -> "MultiState":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "MultiState":
-        s = complex(scalar)
-        return MultiState(self.shape, {k: s * v for k, v in self._amp.items()})
-
-    __rmul__ = __mul__
+            index.append(_key_index(k, n).get(sorted_part))
+        if sign == 0 or None in index:
+            return 0.0
+        return sign * complex(self._array[tuple(index)])
 
     def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{key}: {value:.6g}" for key, value in sorted(self._amp.items())
-        )
+        parts = ", ".join(f"{key}: {value:.6g}" for key, value in self.amplitudes.items())
         return f"MultiState(shape={self.shape.species}, {{{parts}}})"
 
 
 # -- the merging isometries ----------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def _merge_index(shape: SystemShape) -> np.ndarray:
+    """Lex index in the merged wedge power of each entry (in C order) of a
+    species tensor: the entry's local keys, shifted past the preceding
+    blocks, concatenate to its merged key, already sorted."""
+    local = np.indices(shape.dims).reshape(shape.num_species, -1)
+    keys = np.concatenate(
+        [
+            _combos(n, k)[i] + offset
+            for (k, n), offset, i in zip(shape.species, shape.offsets, local)
+        ],
+        axis=1,
+    )
+    index = _lex_rank(keys, shape.total_modes)
+    index.setflags(write=False)
+    return index
+
+
 def merge_species(psi: MultiState) -> FermionState:
     """Map each key (S_1, ..., S_N) to the union of the S_i shifted past the
     preceding species' blocks, keeping the amplitude.  Blocks are disjoint
     and ordered, so the global key is already sorted and no parity signs
-    arise; the map is linear and norm-preserving.  The keys and values of
-    a MultiState are valid, so the image is built unchecked."""
+    arise; the map is linear and norm-preserving, one scatter of the
+    tensor through _merge_index."""
     shape = psi.shape
-    offsets = shape.offsets
-    amp = {
-        tuple(m + offsets[i] for i, part in enumerate(key) for m in part): value
-        for key, value in psi._amp.items()
-    }
-    return FermionState._trusted(shape.total_particles, shape.total_modes, amp)
+    array = np.zeros(math.comb(shape.total_modes, shape.total_particles), dtype=complex)
+    array[_merge_index(shape)] = psi._array.reshape(-1)
+    return FermionState._wrap(shape.total_particles, shape.total_modes, array, 0.0)
 
 
 def multistate_from_tensor(tensor: np.ndarray) -> MultiState:
@@ -279,27 +280,14 @@ def multistate_from_tensor(tensor: np.ndarray) -> MultiState:
     tensor = np.asarray(tensor, dtype=complex)
     if tensor.ndim == 0:
         raise ShapeError("tensor must have at least one axis")
-    shape = SystemShape(tuple((1, n) for n in tensor.shape))
-    amp = {
-        tuple((i + 1,) for i in idx): tensor[idx]
-        for idx in np.ndindex(*tensor.shape)
-        if tensor[idx] != 0.0
-    }
-    return MultiState(shape, amp)
+    return MultiState._wrap(SystemShape(tuple((1, n) for n in tensor.shape)), tensor)
 
 
 def tensor_from_multistate(psi: MultiState) -> np.ndarray:
-    """Read-only dense amplitude tensor, built once per (immutable) state:
-    axis i runs over the C(n_i, k_i) lex-ordered local keys of species i,
-    so it inverts multistate_from_tensor on all-qudit shapes."""
-    if psi._tensor is None:
-        index = [_key_index(k, n) for k, n in psi.shape.species]
-        out = np.zeros(psi.shape.dims, dtype=complex)
-        for key, value in psi._amp.items():
-            out[tuple(ix[part] for ix, part in zip(index, key))] = value
-        out.setflags(write=False)
-        object.__setattr__(psi, "_tensor", out)
-    return psi._tensor
+    """The state's read-only amplitude tensor: axis i runs over the
+    C(n_i, k_i) lex-ordered local keys of species i, so it inverts
+    multistate_from_tensor on all-qudit shapes."""
+    return psi._array
 
 
 # -- separability --------------------------------------------------------------
@@ -397,21 +385,15 @@ def _flattening(
 def species_rdm(psi: MultiState, species: int) -> np.ndarray:
     """One-particle reduced density matrix of the given species (1-based):
     the other species are traced out first, then all but one particle of
-    the chosen species.  Trace 1; requires a normalized state."""
+    the chosen species, one lift of the tensor with that species' axis in
+    front.  Trace 1; requires a normalized state."""
     if not 1 <= species <= psi.shape.num_species:
         raise ShapeError(f"no species {species} in shape {psi.shape.species}")
     if abs(psi.norm() - 1.0) > NORM_CHECK_TOL:
         raise ValueError("reduced density matrix requires a normalized state")
-    i = species - 1
-    k_i, n_i = psi.shape.species[i]
-    contexts: dict[tuple, dict[LocalKey, complex]] = {}
-    for key, value in psi._amp.items():
-        ctx = key[:i] + key[i + 1 :]
-        contexts.setdefault(ctx, {})[key[i]] = value
-    rho = np.zeros((n_i, n_i), dtype=complex)
-    for local in contexts.values():
-        rho += _rdm_numerator(FermionState(k_i, n_i, local))
-    return rho / k_i
+    k_i, n_i = psi.shape.species[species - 1]
+    columns = np.moveaxis(psi._array, species - 1, 0).reshape(math.comb(n_i, k_i), -1)
+    return _rdm_numerator(columns, k_i, n_i) / k_i
 
 
 def embedded_rdm_blocks(
@@ -515,7 +497,7 @@ def three_qubit_to_fermion(a: np.ndarray) -> FermionState:
     occupies mode p + 3s, so basis states map to wedge triples with
     parity folded into sorted keys."""
     dense = _signed_gather(_as_qubit_cube(a), _QUBIT3_FERMION_TABLE)
-    return _from_dense(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense, cutoff=0.0)
 
 
 def _check_weighted_norm(arr: np.ndarray, weights: np.ndarray, what: str) -> None:
@@ -594,7 +576,7 @@ def qubit_fermion4_to_fermion(d: np.ndarray) -> FermionState:
     """Three-fermion image of a qubit + fermion pair: qubit states go to
     modes 1 and 4, the four fermion modes to 2, 3, 5, 6."""
     dense = _signed_gather(pack_antisymmetric_pair(d), _QF4_FERMION_TABLE)
-    return _from_dense(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense, cutoff=0.0)
 
 
 # -- the subspace chain ----------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Sparse exterior algebra for states of k fermions in n modes.
+"""Exterior algebra for states of k fermions in n modes.
 
-A state P in the k-th wedge power of C^n is stored as a dict from strictly
-increasing mode tuples (1-based) to complex amplitudes over the normalized
-wedge basis e_{i_1} ^ ... ^ e_{i_k}.  On top of the wedge arithmetic this
-module provides
+A state P in the k-th wedge power of C^n is stored as one read-only complex
+array over the C(n, k) strictly increasing mode tuples (1-based) in lex
+order, the amplitudes over the normalized wedge basis
+e_{i_1} ^ ... ^ e_{i_k}; ``amplitudes`` lists the nonzero ones as a
+mapping.  Every kernel below reads that array.  On top of the wedge
+arithmetic this module provides
 
   * decomposability P = v_1 ^ ... ^ v_k, decided by the kernel rank of
     v -> v ^ P, and the equivalent quadratic Plücker relations, which give
@@ -18,11 +20,13 @@ module provides
   * for (k, n) = (3, 6) the coordinate bijection onto the Freudenthal
     triple system over the 3 x 3 matrix algebra, with modes 4, 5, 6
     playing the role of the barred partners of modes 1, 2, 3: one signed
-    gather (``_signed_table``, ``_signed_gather``) from the dense amplitude
-    vector to the 20 coordinates, and its inverse.
+    gather (``_signed_table``, ``_signed_gather``) from the amplitude
+    array to the 20 coordinates, and its inverse.
 
-States are immutable; all functions are pure.  Amplitudes with magnitude
-at most PRUNE_TOL are dropped after arithmetic.
+States are immutable; all functions are pure.  ``wedge`` and
+``apply_matrix`` set amplitudes of magnitude at most PRUNE_TOL to zero.
+A state whose C(n, k) exceeds MAX_DIMENSION is not built (ShapeError); the
+wedge products formed on the way, as in ``wedge_power_norm``, may exceed it.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ __all__ = [
     "FermionState",
     "ShapeError",
     "PRUNE_TOL",
+    "MAX_DIMENSION",
     "wedge",
     "wedge_of_vectors",
     "pluecker_relation",
     "pluecker_scan",
     "pluecker_violations",
+    "decomposability_ratio",
     "is_decomposable",
     "wedge_power_norm",
     "one_particle_rdm",
@@ -58,6 +64,13 @@ __all__ = [
 
 PRUNE_TOL = 1e-14
 DEFAULT_TOL = 1e-8
+NORM_CHECK_TOL = 1e-6
+# Largest amplitude array a state may be built or drawn with: C(n, k) for a
+# fermionic state, C(sum n_i, sum k_i) for the merged image of a
+# multi-species one.  Nine qubits merge to C(18, 9) = 48 620 and fit; ten do
+# not.  Wedge products are not capped: the power of a (2, 20) state passes
+# through C(20, 10) = 184 756.
+MAX_DIMENSION = 1 << 16
 
 Key = tuple[int, ...]
 
@@ -81,45 +94,92 @@ def sort_sign(seq: Sequence[int]) -> tuple[int, Key]:
     return sign, tuple(lst)
 
 
-class FermionState:
-    """Immutable sparse element of the k-th wedge power of C^n."""
+def _dimension(k: int, n: int) -> int:
+    """C(n, k), the length of the amplitude array of shape (k, n);
+    ShapeError for an invalid shape or one past MAX_DIMENSION."""
+    if not (isinstance(k, int) and isinstance(n, int)) or k < 1 or n < k:
+        raise ShapeError(f"invalid shape k={k}, n={n}")
+    if math.comb(n, k) > MAX_DIMENSION:
+        raise ShapeError(
+            f"shape ({k}, {n}) has C({n}, {k}) = {math.comb(n, k)} amplitudes, "
+            f"more than MAX_DIMENSION = {MAX_DIMENSION}"
+        )
+    return math.comb(n, k)
 
-    __slots__ = ("k", "n", "_amp")
+
+def _store(array: np.ndarray, cutoff: float) -> np.ndarray:
+    """A read-only copy of an amplitude array with the entries of magnitude
+    at most ``cutoff`` (and signed zeros) set to zero; every entry, dropped
+    or not, must be finite."""
+    if not np.isfinite(array).all():
+        raise ValueError("non-finite amplitude")
+    array = np.where(np.abs(array) > cutoff, array, 0)
+    array.setflags(write=False)
+    return array
+
+
+class _ArrayState:
+    """The arithmetic of FermionState and embed.MultiState, which each hold
+    one read-only amplitude array ``_array`` and wrap a new array of their
+    own shape with ``_like``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def norm(self) -> float:
+        """Euclidean norm from Python's complex abs, summed in key order
+        (np.abs and np.linalg.norm round differently): random_state divides
+        by it, so every bit of a drawn state depends on it."""
+        return math.sqrt(sum(abs(v) ** 2 for v in self._array.ravel().tolist()))
+
+    def is_zero(self) -> bool:
+        return not self._array.any()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ShapeError("states have different shapes")
+        return self._like(self._array + other._array)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar: complex):
+        return self._like(complex(scalar) * self._array)
+
+    __rmul__ = __mul__
+
+
+class FermionState(_ArrayState):
+    """Immutable element of the k-th wedge power of C^n: one read-only
+    complex array over the lex-ordered keys."""
+
+    __slots__ = ("k", "n", "_array")
 
     def __init__(self, k: int, n: int, amplitudes: Mapping[Key, complex]):
-        if not (isinstance(k, int) and isinstance(n, int)) or k < 1 or n < k:
-            raise ShapeError(f"invalid shape k={k}, n={n}")
-        amp: dict[Key, complex] = {}
+        array = np.zeros(_dimension(k, n), dtype=complex)
         for key, value in amplitudes.items():
-            key = tuple(int(m) for m in key)
-            if len(key) != k:
-                raise ShapeError(f"key {key} has length {len(key)}, expected {k}")
-            if any(m < 1 or m > n for m in key):
-                raise ShapeError(f"key {key} outside modes 1..{n}")
-            if any(key[i] >= key[i + 1] for i in range(k - 1)):
-                raise ShapeError(
-                    f"key {key} is not strictly increasing; use from_terms for "
-                    "unsorted mode sequences"
-                )
-            value = complex(value)
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-                raise ValueError(f"non-finite amplitude at {key}")
-            if value != 0.0:
-                amp[key] = value
-        self._fill(k, n, amp)
+            array[_key_position(key, k, n)] = complex(value)
+        self._fill(k, n, array, 0.0)
 
-    def _fill(self, k: int, n: int, amp: dict[Key, complex]) -> "FermionState":
-        for name, value in (("k", k), ("n", n), ("_amp", amp)):
+    def _fill(self, k: int, n: int, array: np.ndarray, cutoff: float) -> "FermionState":
+        for name, value in (("k", k), ("n", n), ("_array", _store(array, cutoff))):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
-    def _trusted(cls, k: int, n: int, amp: dict[Key, complex]) -> "FermionState":
-        """``amp`` unchecked: sorted in-range keys, finite nonzero values."""
-        return object.__new__(cls)._fill(k, n, amp)
+    def _wrap(
+        cls, k: int, n: int, array: np.ndarray, cutoff: float = PRUNE_TOL
+    ) -> "FermionState":
+        """The state with amplitude array ``array`` over the lex-ordered keys
+        of a valid shape (k, n), stored by _store."""
+        return object.__new__(cls)._fill(k, n, array, cutoff)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FermionState is immutable")
+    def _like(self, array: np.ndarray) -> "FermionState":
+        return FermionState._wrap(self.k, self.n, array, 0.0)
 
     @classmethod
     def from_terms(
@@ -137,7 +197,11 @@ class FermionState:
 
     @property
     def amplitudes(self) -> Mapping[Key, complex]:
-        return MappingProxyType(self._amp)
+        """The nonzero amplitudes in key order, as a read-only mapping built
+        on each access."""
+        kept = np.flatnonzero(self._array)
+        keys = map(tuple, (_combos(self.n, self.k)[kept] + 1).tolist())
+        return MappingProxyType(dict(zip(keys, self._array[kept].tolist())))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -147,46 +211,11 @@ class FermionState:
     def amplitude(self, seq: Sequence[int]) -> complex:
         """Signed amplitude for an arbitrary-order mode sequence."""
         sign, key = sort_sign(seq)
-        if sign == 0:
-            return 0.0
-        return sign * self._amp.get(key, 0.0)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self._amp.values())))
-
-    def is_zero(self) -> bool:
-        return not self._amp
-
-    def prune(self, cutoff: float = PRUNE_TOL) -> "FermionState":
-        return FermionState(
-            self.k,
-            self.n,
-            {k: v for k, v in self._amp.items() if abs(v) > cutoff},
-        )
-
-    def __add__(self, other: "FermionState") -> "FermionState":
-        if not isinstance(other, FermionState):
-            return NotImplemented
-        if (self.k, self.n) != (other.k, other.n):
-            raise ShapeError("states live in different wedge powers")
-        amp = dict(self._amp)
-        for key, value in other._amp.items():
-            amp[key] = amp.get(key, 0.0) + value
-        return FermionState(self.k, self.n, amp)
-
-    def __sub__(self, other: "FermionState") -> "FermionState":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "FermionState":
-        s = complex(scalar)
-        return FermionState(self.k, self.n, {k: s * v for k, v in self._amp.items()})
-
-    __rmul__ = __mul__
+        index = _key_index(self.k, self.n).get(key) if sign else None
+        return 0.0 if index is None else sign * complex(self._array[index])
 
     def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{key}: {value:.6g}" for key, value in sorted(self._amp.items())
-        )
+        parts = ", ".join(f"{key}: {value:.6g}" for key, value in self.amplitudes.items())
         return f"FermionState(k={self.k}, n={self.n}, {{{parts}}})"
 
 
@@ -204,10 +233,17 @@ def _combos(n: int, j: int) -> np.ndarray:
 
 def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     """Lex index among the j-subsets of range(n) of each sorted 0-based
-    subset along the last axis: C(n, j) - 1 - sum_i C(n - 1 - s_i, j - i)."""
+    subset along the last axis: C(n, j) - 1 - sum_i C(n - 1 - s_i, j - i),
+    summed one position at a time to keep the temporaries at the result's
+    size.  The result has the memory layout of ``subsets[..., 0]``: ``wedge``
+    sums along rows of these tables, and numpy's summation order follows it."""
     j = subsets.shape[-1]
-    binom = np.array([[math.comb(r, c) for c in range(j + 1)] for r in range(n)])
-    return math.comb(n, j) - 1 - binom[n - 1 - subsets, np.arange(j, 0, -1)].sum(-1)
+    if j == 0:
+        return np.zeros(subsets.shape[:-1], dtype=np.intp)
+    rank = np.full_like(subsets[..., 0], math.comb(n, j) - 1)
+    for i in range(j):
+        rank -= np.array([math.comb(r, j - i) for r in range(n)])[n - 1 - subsets[..., i]]
+    return rank
 
 
 @lru_cache(maxsize=32)
@@ -248,25 +284,17 @@ def _key_index(k: int, n: int) -> dict[Key, int]:
     }
 
 
-def _dense_vector(P: FermionState) -> np.ndarray:
-    """Amplitudes over the lex-ordered keys of P's shape."""
-    index = _key_index(P.k, P.n)
-    vec = np.zeros(len(index), dtype=complex)
-    for key, value in P._amp.items():
-        vec[index[key]] = value
-    return vec
-
-
-def _from_dense(
-    k: int, n: int, vec: np.ndarray, cutoff: float = PRUNE_TOL
-) -> FermionState:
-    """Inverse of _dense_vector, dropping amplitudes at most ``cutoff``;
-    every amplitude, dropped or not, must be finite."""
-    if not np.isfinite(vec).all():
-        raise ValueError("non-finite amplitude")
-    kept = np.flatnonzero(np.abs(vec) > cutoff)
-    keys = map(tuple, (_combos(n, k)[kept] + 1).tolist())
-    return FermionState._trusted(k, n, dict(zip(keys, vec[kept].tolist())))
+def _key_position(key: Sequence[int], k: int, n: int) -> int:
+    """Lex index of a key given as a sorted k-subset of modes 1..n;
+    ShapeError for any other key."""
+    key = tuple(int(m) for m in key)
+    position = _key_index(k, n).get(key)
+    if position is None:
+        raise ShapeError(
+            f"key {key} is not a strictly increasing {k}-subset of modes 1..{n}; "
+            "use from_terms for unsorted mode sequences"
+        )
+    return position
 
 
 def wedge(u: FermionState, v: FermionState) -> FermionState:
@@ -277,8 +305,8 @@ def wedge(u: FermionState, v: FermionState) -> FermionState:
     if k > u.n:
         raise ShapeError(f"wedge degree {k} exceeds mode count {u.n}")
     first, second, sign = _shuffle_table(u.k, v.k, u.n)
-    out = (sign * _dense_vector(u)[first] * _dense_vector(v)[second]).sum(axis=1)
-    return _from_dense(k, u.n, out)
+    out = (sign * u._array[first] * v._array[second]).sum(axis=1)
+    return FermionState._wrap(k, u.n, out)
 
 
 def wedge_of_vectors(vectors: np.ndarray) -> FermionState:
@@ -287,9 +315,9 @@ def wedge_of_vectors(vectors: np.ndarray) -> FermionState:
     if vectors.ndim != 2:
         raise ShapeError("expected a k x n array of row vectors")
     k, n = vectors.shape
-    state = FermionState(1, n, {(m + 1,): vectors[0, m] for m in range(n)})
+    state = FermionState._wrap(1, n, vectors[0], 0.0)
     for row in vectors[1:]:
-        state = wedge(state, FermionState(1, n, {(m + 1,): row[m] for m in range(n)}))
+        state = wedge(state, FermionState._wrap(1, n, row, 0.0))
     return state
 
 
@@ -353,7 +381,7 @@ def _witness(k: int, n: int, r: int) -> tuple[Key, Key]:
 def _relation_values(P: FermionState) -> np.ndarray:
     """All relation values at once via the cached tables."""
     first, second, sign = _scan_tables(P.k, P.n)
-    vec = np.concatenate(([0.0], _dense_vector(P)))
+    vec = np.concatenate(([0.0], P._array))
     return (sign * vec[first] * vec[second]).sum(axis=1)
 
 
@@ -384,24 +412,35 @@ def pluecker_violations(
     return out
 
 
-def is_decomposable(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
-    """True when P = v_1 ^ ... ^ v_k, i.e. when the kernel of v -> v ^ P (the
-    n x C(n, k+1) matrix M with rows e_t ^ P, e_t ^ e_L = sign * e_K) has
-    dimension >= k (Griffiths-Harris, *Principles of Algebraic Geometry*,
-    1.5); its rank counts the singular values above tol * sigma_max.  Each
+def decomposability_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:
+    """The margin s_(n-k) / (tol s_0) of the kernel test, for the singular
+    values s_0 >= s_1 >= ... of the n x C(n, k+1) matrix M with rows e_t ^ P
+    (e_t ^ e_L = sign * e_K).  P = v_1 ^ ... ^ v_k exactly when the kernel of
+    v -> v ^ P has dimension >= k (Griffiths-Harris, *Principles of
+    Algebraic Geometry*, 1.5), i.e. when at most n - k singular values
+    exceed tol * s_0, i.e. when the ratio is at most 1.  It is 0 when M has
+    at most n - k singular values, and for k = 1, where P spans the kernel
+    (M is then n x C(n, 2), too large to build for many modes).  Each
     amplitude fills the n - k rows of the modes outside its key, so
-    ||M||_F^2 = (n - k) ||P||^2 and sigma_max is in [||P|| sqrt((n - k) / n),
-    ||P||]: the threshold scales with the norm.  See also ``pluecker_scan``."""
+    ||M||_F^2 = (n - k) ||P||^2 and s_0 is in [||P|| sqrt((n - k) / n),
+    ||P||]: the threshold scales with the norm."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if P.is_zero():
         raise ValueError("zero state has no decomposability verdict")
+    if P.k == 1:
+        return 0.0
     mode, rest, sign = _shuffle_table(1, P.k, P.n)
     mat = np.zeros((P.n, len(mode)), dtype=complex)
-    mat[mode, np.arange(len(mode))[:, None]] = sign * _dense_vector(P)[rest]
+    mat[mode, np.arange(len(mode))[:, None]] = sign * P._array[rest]
     sing = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sing > tol * sing[0])) if sing.size else 0
-    return P.n - rank >= P.k
+    return float(sing[P.n - P.k] / (tol * sing[0])) if len(sing) > P.n - P.k else 0.0
+
+
+def is_decomposable(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
+    """True when P = v_1 ^ ... ^ v_k: ``decomposability_ratio`` is at most 1.
+    See also ``pluecker_scan``."""
+    return decomposability_ratio(P, tol) <= 1.0
 
 
 # -- wedge-power invariant -----------------------------------------------------
@@ -422,19 +461,19 @@ def wedge_power_norm(P: FermionState) -> float:
     power = P
     for _ in range(d - 1):
         power = wedge(power, P)
-    top = tuple(range(1, P.n + 1))
-    return abs(power._amp.get(top, 0.0))
+    return abs(complex(power._array[0]))  # the top form's one amplitude
 
 
 # -- one-particle reduced density matrix --------------------------------------
 
 
-def _rdm_numerator(P: FermionState) -> np.ndarray:
-    """Unnormalized accumulation sum_S eps_a eps_b P[S + a] conj(P[S + b])
-    over (k-1)-subsets S, where eps_a = (-1)^#{s in S : s < a} is the parity
-    of moving mode a to the front of the sorted key: M^T conj(M) for the
-    lift M of P."""
-    lifted = _lift(_dense_vector(P), P.k, P.n)
+def _rdm_numerator(columns: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Unnormalized accumulation sum_S eps_a eps_b Y[S + a] conj(Y[S + b])
+    over (k-1)-subsets S and the k-forms Y in ``columns`` (shape
+    (C(n, k), ...)), where eps_a = (-1)^#{s in S : s < a} is the parity of
+    moving mode a to the front of the sorted key: M^T conj(M) for the lifts
+    M of the columns, stacked."""
+    lifted = np.moveaxis(_lift(columns, k, n), 1, -1).reshape(-1, n)
     return lifted.T @ lifted.conj()
 
 
@@ -442,9 +481,9 @@ def one_particle_rdm(P: FermionState) -> np.ndarray:
     """rho with entries rho[a-1, b-1] = (1/k) sum_S eps_a eps_b
     P[S + a] conj(P[S + b]) over (k-1)-subsets S avoiding a and b.
     Hermitian, positive semidefinite, trace 1; requires ||P|| = 1."""
-    if abs(P.norm() - 1.0) > 1e-6:
+    if abs(P.norm() - 1.0) > NORM_CHECK_TOL:
         raise ValueError("reduced density matrix requires a normalized state")
-    return _rdm_numerator(P) / P.k
+    return _rdm_numerator(P._array, P.k, P.n) / P.k
 
 
 def idempotency_defect(P: FermionState) -> float:
@@ -510,7 +549,7 @@ def to_freudenthal(P: FermionState) -> FreudenthalVector:
     amplitudes absorbs all parity bookkeeping."""
     if P.shape != (3, 6):
         raise ShapeError(f"triple-system coordinates require (k, n) = (3, 6), got {P.shape}")
-    coords = _signed_gather(_dense_vector(P), _COORDINATE_TABLE)
+    coords = _signed_gather(P._array, _COORDINATE_TABLE)
     return FreudenthalVector._trusted(AlgebraKind.J3, coords)
 
 
@@ -518,7 +557,7 @@ def from_freudenthal(x: FreudenthalVector) -> FermionState:
     """Inverse of to_freudenthal, the inverse signed gather (the matrix
     slots are read over M_3(C))."""
     dense = _signed_gather(x.embed().coefficients(), _DENSE_TABLE)
-    return _from_dense(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense, cutoff=0.0)
 
 
 # -- compound (SLOCC) action ---------------------------------------------------
@@ -555,5 +594,5 @@ def apply_matrix(P: FermionState, g: np.ndarray) -> FermionState:
         raise ShapeError(f"matrix must be {P.n} x {P.n}, got {g.shape}")
     if not np.all(np.isfinite(g.view(np.float64))):
         raise ValueError("non-finite matrix entry")
-    out = _compound_columns(g, _dense_vector(P)[:, None], P.k)[:, 0]
-    return _from_dense(P.k, P.n, out)
+    out = _compound_columns(g, P._array[:, None], P.k)[:, 0]
+    return FermionState._wrap(P.k, P.n, out)

@@ -292,14 +292,14 @@ def dump_state_text(statefile: StateFile) -> str:
     state = spec.native(statefile.state)
     payload: dict = {"system": spec.name}
     entries = []
-    if spec.kind is FermionState:
+    if spec.kind is FermionState:  # amplitudes come in key order
         payload["shape"] = [state.k, state.n]
-        for key in sorted(state.amplitudes):
-            entries.append((list(key), state.amplitudes[key]))
+        for key, value in state.amplitudes.items():
+            entries.append((list(key), value))
     elif spec.kind is MultiState:
         payload["shape"] = [list(s) for s in state.shape.species]
-        for key in sorted(state.amplitudes):
-            entries.append(([list(part) for part in key], state.amplitudes[key]))
+        for key, value in state.amplitudes.items():
+            entries.append(([list(part) for part in key], value))
     else:
         payload["shape"] = list(spec.shapes[0])
         for key, (slot, sign) in _file_keys(spec).items():

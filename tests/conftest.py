@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freudenthal.jordan import AlgebraKind, JordanElement
+
+# The CLI tests start `python -m freudenthal.cli` processes: they import the
+# package from src/ as this process does (pyproject's pytest pythonpath).
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def random_jordan(kind: AlgebraKind, rng: np.random.Generator) -> JordanElement:

@@ -139,7 +139,7 @@ def _random_product_multistate(
     factors = []
     for k_i, n_i in shape:
         factor = wedge_of_vectors(random_complex(rng, k_i, n_i))
-        factors.append(list(factor._amp.items()))
+        factors.append(list(factor.amplitudes.items()))
     amp = {}
     for combo in itertools.product(*factors):
         key = tuple(part for part, _ in combo)

@@ -24,14 +24,16 @@ from freudenthal.classify import (
     slocc_act,
     three_tangle,
 )
+from freudenthal.classify import _act_on_species
 from freudenthal.embed import (
     MultiState,
     SystemShape,
     merge_species,
+    species_rdm,
     three_qubit_to_fermion,
     three_qubit_to_qubit_fermion4,
 )
-from freudenthal.fermion import FermionState, ShapeError, apply_matrix
+from freudenthal.fermion import FermionState, ShapeError, _compound_columns, apply_matrix
 from freudenthal.representatives import (
     Representative,
     all_representatives,
@@ -407,6 +409,69 @@ class TestGeneralShapes:
         assert label.name == "entangled"
         assert "wedge_power_norm" in label.invariants_report
 
+    def test_eight_qubit_sized_fermion_state(self, rng):
+        # C(16, 8) = 12 870 amplitudes: the kernel matrix is 16 x 11 440,
+        # where the full Pluecker scan would need gigabytes of tables.
+        from freudenthal.fermion import wedge_of_vectors
+
+        generic = random_state("fermion", seed=81, shape=(8, 16))
+        label = classify_state("fermion", generic)
+        assert (label.rank, label.name) == (None, "entangled")
+        assert label.invariants_report["wedge_power_norm"] > 0.0
+        plane = wedge_of_vectors(rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16)))
+        label = classify_state("fermion", (1.0 / plane.norm()) * plane)
+        assert label.name == "separable"
+        assert label.invariants_report["wedge_power_norm"] < 1e-12
+
+    def test_wedge_powers_past_the_cap(self):
+        # Only a state's own array is held to MAX_DIMENSION.  Two 10-level
+        # qudits merge to (2, 20), 190 amplitudes, whose wedge power passes
+        # through (10, 20), C(20, 10) = 184 756 > MAX_DIMENSION.
+        from freudenthal.fermion import MAX_DIMENSION, _shuffle_table, wedge_power_norm
+
+        assert math.comb(20, 10) > MAX_DIMENSION
+        shape = SystemShape(((1, 10), (1, 10)))
+        ghz = MultiState(shape, {((i,), (i,)): 10**-0.5 for i in range(1, 11)})
+        expected = math.factorial(10) * 10**-5  # d! d^(-d/2) at d = 10
+        assert wedge_power_norm(merge_species(ghz)) == pytest.approx(expected)
+        label = classify_state("multi", ghz)
+        assert label.name == "entangled"
+        assert label.invariants_report["wedge_power_norm"] == pytest.approx(expected)
+        draw = random_state("fermion", seed=84, shape=(2, 20))
+        label = classify_state("fermion", draw)
+        assert label.name == "entangled"
+        assert label.invariants_report["wedge_power_norm"] > 0.0
+        _shuffle_table.cache_clear()  # its (8, 2, 20) table alone is 8.3M entries
+
+    def test_one_particle_states_are_separable_at_many_modes(self):
+        # Every nonzero vector is decomposable: the ratio is 0 without the
+        # n x C(n, 2) kernel matrix (300 x 44 850 here).
+        from freudenthal.fermion import decomposability_ratio
+
+        vector = random_state("fermion", seed=83, shape=(1, 300))
+        assert decomposability_ratio(vector) == 0.0
+        assert classify_state("fermion", vector).name == "separable"
+
+    def test_verdict_and_warning_follow_the_kernel_ratio(self, rng):
+        from freudenthal.fermion import decomposability_ratio, is_decomposable, wedge_of_vectors
+
+        plane = wedge_of_vectors(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+        plane = (1.0 / plane.norm()) * plane
+        generic = random_state("fermion", seed=82, shape=(3, 8))
+        seen = set()
+        for eps in np.logspace(-11, -5, 13):
+            state = plane + eps * generic
+            ratio = decomposability_ratio(state)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                label = classify_state("fermion", state)
+            warned = any(issubclass(w.category, DegeneracyWarning) for w in caught)
+            assert warned == (0.1 < ratio < 10.0), (eps, ratio)
+            assert (label.name == "separable") == (ratio <= 1.0) == is_decomposable(state)
+            seen.add((warned, label.name))
+        assert seen == {(False, "separable"), (True, "separable"),
+                        (True, "entangled"), (False, "entangled")}
+
     def test_wedge_power_reported_only_when_defined(self):
         odd = random_state("fermion", seed=72, shape=(3, 6))
         assert "wedge_power_norm" not in classify_state(
@@ -518,6 +583,97 @@ class TestRandomStates:
                 random_group_element(system, 7, shape=shape)
         # General shapes still pass through.
         assert random_state("fermion", 7, shape=(2, 5)).shape == (2, 5)
+
+
+# -- the dict-based routines the array store replaced, kept as references -----
+
+
+def _ref_act_on_species(psi, species_index, matrix):
+    shape = psi.shape
+    k_i, n_i = shape.species[species_index]
+    local = shape.local_keys(species_index + 1)
+    position = {key: j for j, key in enumerate(local)}
+    contexts: dict = {}
+    for key, value in psi.amplitudes.items():
+        ctx = key[:species_index] + key[species_index + 1 :]
+        vec = contexts.setdefault(ctx, np.zeros(len(local), dtype=complex))
+        vec[position[key[species_index]]] += value
+    columns = np.array(list(contexts.values())).reshape(len(contexts), len(local))
+    moved = _compound_columns(matrix, columns.T, k_i)
+    amp: dict = {}
+    for ctx, out in zip(contexts, moved.T):
+        for j, value in enumerate(out):
+            if value != 0:
+                amp[ctx[:species_index] + (local[j],) + ctx[species_index:]] = value
+    return MultiState(shape, amp)
+
+
+def _ref_species_rdm(psi, species):
+    """Per context of the other species, the sum over (k-1)-subsets S of
+    eps_a eps_b P[S + a] conj(P[S + b]), eps_a P[S + a] read as the signed
+    amplitude of the sequence (a, *S)."""
+    i = species - 1
+    k_i, n_i = psi.shape.species[i]
+    contexts: dict = {}
+    for key, value in psi.amplitudes.items():
+        contexts.setdefault(key[:i] + key[i + 1 :], {})[key[i]] = value
+    rho = np.zeros((n_i, n_i), dtype=complex)
+    for local in contexts.values():
+        P = FermionState(k_i, n_i, local)
+        for rest in itertools.combinations(range(1, n_i + 1), k_i - 1):
+            row = np.array([P.amplitude((a,) + rest) for a in range(1, n_i + 1)])
+            rho += np.outer(row, row.conj())
+    return rho / k_i
+
+
+def _ref_draw(rng, keys):
+    return {key: complex(rng.normal(), rng.normal()) for key in keys}
+
+
+def _ref_random_state(system, seed, shape):
+    """random_state of a fermion or multi shape as a dict: one draw per key
+    in key order, divided by the norm summed in that order."""
+    rng = np.random.default_rng(seed)
+    if system == "fermion":
+        amp = _ref_draw(rng, itertools.combinations(range(1, shape[1] + 1), shape[0]))
+    else:
+        amp = _ref_draw(rng, itertools.product(
+            *(itertools.combinations(range(1, n + 1), k) for k, n in shape)))
+    scale = complex(1.0 / float(np.sqrt(sum(abs(v) ** 2 for v in amp.values()))))
+    return {key: scale * value for key, value in amp.items()}
+
+
+class TestArrayStoreParity:
+    """The array-native draws, species action and species RDM against the
+    dict-based routines they replaced: draws bit for bit, the rest to 1e-12
+    (einsum and the matrix products may round differently by layout)."""
+
+    FERMION_SHAPES = ((3, 6), (2, 5), (4, 10), (8, 16))
+    MULTI_SHAPES = (
+        ((1, 2),) * 3, ((2, 4), (1, 3)), ((1, 2), (2, 4), (1, 3)), ((1, 2),) * 8
+    )
+
+    def test_draws_are_bit_identical(self):
+        for system, shapes in (("fermion", self.FERMION_SHAPES), ("multi", self.MULTI_SHAPES)):
+            for shape in shapes:
+                for seed in (0, 7, (3, 1)):
+                    drawn = random_state(system, seed, shape=shape)
+                    assert dict(drawn.amplitudes) == _ref_random_state(system, seed, shape)
+
+    def test_species_action_and_rdm_match_the_references(self):
+        for s, species in enumerate(self.MULTI_SHAPES[:3] + (((3, 5), (2, 4)),)):
+            psi = random_state("multi", (90, s), shape=species)
+            sparse = MultiState(psi.shape, dict(list(psi.amplitudes.items())[::3]))
+            for state in (psi, (1.0 / sparse.norm()) * sparse):
+                g = random_group_element("multi", (91, s), shape=species)
+                for index, matrix in enumerate(g.matrices):
+                    moved = _act_on_species(state, index, matrix)
+                    want = _ref_act_on_species(state, index, matrix)
+                    assert (moved - want).norm() <= 1e-12 * want.norm()
+                for species_index in range(1, len(species) + 1):
+                    rho = species_rdm(state, species_index)
+                    want = _ref_species_rdm(state, species_index)
+                    assert np.linalg.norm(rho - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestDegeneracyWarning:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freudenthal.classify import (
     SYSTEM_TABLE,
@@ -135,9 +137,85 @@ class TestShapesAndStates:
         for idx in np.ndindex(tensor.shape):
             key = tuple(local[axis][j] for axis, j in enumerate(idx))
             assert tensor[idx] == psi.amplitude(key)
-        # Built once per (immutable) state, and read-only.
+        # The state's one amplitude store, read-only.
         assert tensor_from_multistate(psi) is tensor
         assert not tensor.flags.writeable
+
+
+# -- both state classes against a plain-dict model -----------------------------
+
+_AMPLITUDES = st.just(0j) | st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False
+)
+_MODEL_SHAPES = {
+    "fermion": [(1, 3), (2, 4), (3, 6), (2, 5)],
+    "multi": [((1, 2), (1, 2)), ((1, 2), (2, 4)), ((2, 4), (1, 3), (1, 2))],
+}
+
+
+def _model_keys(kind, shape):
+    if kind == "fermion":
+        return list(itertools.combinations(range(1, shape[1] + 1), shape[0]))
+    return list(itertools.product(
+        *(itertools.combinations(range(1, n + 1), k) for k, n in shape)))
+
+
+@st.composite
+def _sparse_models(draw):
+    """(kind, shape, keys, two sparse amplitude dicts) of one state shape."""
+    kind = draw(st.sampled_from(sorted(_MODEL_SHAPES)))
+    shape = draw(st.sampled_from(_MODEL_SHAPES[kind]))
+    keys = _model_keys(kind, shape)
+    sparse = st.dictionaries(st.sampled_from(keys), _AMPLITUDES, max_size=len(keys))
+    return kind, shape, keys, draw(sparse), draw(sparse)
+
+
+def _rotated(key, r):
+    """key rotated left by r with its wedge sign (-1)^(r (len - r))."""
+    r %= len(key)
+    return key[r:] + key[:r], (-1) ** (r * (len(key) - r))
+
+
+class TestStateModel:
+    """The accessors, arithmetic, norm and amplitude mapping of FermionState
+    and MultiState against a plain dict of amplitudes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(models=_sparse_models(), scalar=_AMPLITUDES, rotation=st.integers(0, 5))
+    def test_state_matches_a_dict_model(self, models, scalar, rotation):
+        kind, shape, keys, a, b = models
+        if kind == "fermion":
+            P, Q = FermionState(*shape, a), FermionState(*shape, b)
+        else:
+            P, Q = MultiState(SystemShape(shape), a), MultiState(SystemShape(shape), b)
+
+        def nonzero(model):
+            return {k: model[k] for k in keys if model.get(k, 0) != 0}
+
+        want = nonzero(a)
+        assert list(P.amplitudes.items()) == list(want.items())  # key order
+        assert P.is_zero() == (not want)
+        assert P.norm() == math.sqrt(sum(abs(v) ** 2 for v in want.values()))
+        total = {k: a.get(k, 0) + b.get(k, 0) for k in keys}
+        assert dict((P + Q).amplitudes) == nonzero(total)
+        difference = {k: a.get(k, 0) + -1.0 * b.get(k, 0) for k in keys}
+        assert dict((P - Q).amplitudes) == nonzero(difference)
+        real = scalar.real
+        assert dict((real * P).amplitudes) == nonzero({k: real * v for k, v in a.items()})
+        scaled = (scalar * P).amplitudes
+        for k in keys:  # numpy may fuse the complex product's multiply-adds
+            bound = 2.0 ** -50 * abs(scalar) * abs(a.get(k, 0)) + 1e-300
+            assert abs(scaled.get(k, 0) - scalar * a.get(k, 0)) <= bound
+        for key in keys:
+            if kind == "fermion":
+                seq, sign = _rotated(key, rotation)
+            else:
+                rotated = [_rotated(part, rotation) for part in key]
+                seq = [part for part, _ in rotated]
+                sign = math.prod(s for _, s in rotated)
+            assert P.amplitude(seq) == sign * a.get(key, 0)
+        with pytest.raises(TypeError):
+            P.amplitudes[keys[0]] = 1.0
 
 
 class TestMerging:

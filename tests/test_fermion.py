@@ -106,6 +106,10 @@ class TestStateBasics:
             P.k = 2
         with pytest.raises(TypeError):
             P.amplitudes[(1, 2, 3)] = 0.0
+        # One read-only amplitude array over the C(6, 3) lex-ordered keys.
+        assert P._array.shape == (20,)
+        with pytest.raises(ValueError):
+            P._array[0] = 1.0
 
     def test_arithmetic(self):
         P, Q = ghz6(), w6()
@@ -158,6 +162,18 @@ class TestWedge:
         for key in itertools.combinations(range(1, 7), 3):
             minor = np.linalg.det(vecs[:, [m - 1 for m in key]])
             assert P.amplitude(key) == pytest.approx(minor)
+
+    def test_wedge_of_vectors_past_the_cap_midway(self, rng):
+        # The result, C(20, 15) = 15 504 amplitudes, fits under MAX_DIMENSION;
+        # the partial products pass through C(20, 10) = 184 756, which would
+        # not, and need not.
+        vecs = rng.normal(size=(15, 20)) + 1j * rng.normal(size=(15, 20))
+        P = wedge_of_vectors(vecs)
+        assert P.shape == (15, 20)
+        key = tuple(range(3, 18))
+        minor = np.linalg.det(vecs[:, [m - 1 for m in key]])
+        assert P.amplitude(key) == pytest.approx(minor)
+        assert is_decomposable((1.0 / P.norm()) * P)
 
     def test_overflowed_amplitudes_rejected(self):
         huge = FermionState(1, 3, {(1,): 1e200})

@@ -572,6 +572,46 @@ class TestCliRandom:
         assert code == 2
 
 
+class TestOversizedShapes:
+    """A shape past MAX_DIMENSION is a shape error (exit 3) on every
+    subcommand, raised before any amplitude array of that size exists."""
+
+    def test_every_subcommand_exits_3(self, capsys, tmp_path):
+        state = tmp_path / "big.json"
+        state.write_text(json.dumps({
+            "system": "fermion",
+            "shape": [10, 40],
+            "amplitudes": [{"key": list(range(1, 11)), "re": 1.0, "im": 0.0}],
+        }))
+        matrix = tmp_path / "g.json"
+        matrix.write_text(json.dumps([np.eye(40).tolist()]))
+        for argv in (
+            ["classify", str(state)],
+            ["invariant", str(state)],
+            ["pluecker", str(state)],
+            ["rdm", str(state)],
+            ["act", str(state), "-m", str(matrix)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert "MAX_DIMENSION" in err, argv
+
+    def test_random_and_multi_shapes(self, capsys):
+        # Past the cap: C(19, 9) = 92 378, and fifteen qubits, whose 2^15
+        # amplitudes merge to C(30, 15) = 155 117 520.
+        for system, shape in (("fermion", "9,19"), ("multi", ";".join(["1,2"] * 15))):
+            code, out, err = run_cli(
+                capsys, "random", "--system", system, "--shape", shape
+            )
+            assert (code, out) == (3, "")
+            assert "MAX_DIMENSION" in err
+        SystemShape(((1, 2),) * 9)  # nine qubits merge to C(18, 9) = 48 620
+        with pytest.raises(ShapeError):
+            SystemShape(((1, 2),) * 10)  # ten to C(20, 10) = 184 756
+        with pytest.raises(ShapeError):
+            FermionState(10, 20, {})
+
+
 class TestCliSelftestAndEntryPoint:
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
