@@ -453,10 +453,11 @@ def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
 
 
 def _general_report(merged: FermionState) -> dict:
-    report: dict = {}
-    if merged.k % 2 == 0 and merged.n % merged.k == 0:
-        report["wedge_power_norm"] = wedge_power_norm(merged)
-    return report
+    """``wedge_power_norm`` where it is defined and within its table budget."""
+    try:
+        return {"wedge_power_norm": wedge_power_norm(merged)}
+    except ShapeError:
+        return {}
 
 
 def _classify_fermion_general(state: FermionState, tol: float) -> ClassLabel:

@@ -34,6 +34,7 @@ from .classify import (
     SYSTEM_TABLE,
     SYSTEMS,
     DegeneracyWarning,
+    _general_report,
     classify_state,
     invariant_for,
     invariant_via_embedding,
@@ -45,6 +46,7 @@ from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
+    decomposability_ratio,
     idempotency_defect,
     one_particle_rdm,
     pluecker_scan,
@@ -154,11 +156,9 @@ def _cmd_invariant(args) -> int:
             "no quartic invariant for this shape "
             f"(fermionic image: {merged.k} particles in {merged.n} modes)"
         )
-        payload.update(fermionic_shape=[merged.k, merged.n])
-        if merged.k % 2 == 0 and merged.n % merged.k == 0:
-            xi = wedge_power_norm(merged)
-            lines.append(f"wedge-power invariant = {xi:.6f}")
-            payload["wedge_power_norm"] = xi
+        payload.update(fermionic_shape=[merged.k, merged.n], **_general_report(merged))
+        if "wedge_power_norm" in payload:
+            lines.append(f"wedge-power invariant = {payload['wedge_power_norm']:.6f}")
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -251,15 +251,17 @@ def _cmd_pluecker(args) -> int:
     if merged.is_zero():
         raise _Failure("cannot scan the zero state", EXIT_SHAPE)
     worst, pair = pluecker_scan(merged)
-    # The Plücker verdict (is_decomposable decides by kernel rank); a
-    # relation within tolerance is roundoff, so its position is no witness.
-    decomposable = worst <= tol * merged.norm() ** 2
+    # The verdict is the rank test's, as in classify; on a decomposable state
+    # every relation is roundoff, so the worst one's position is no witness.
+    ratio = decomposability_ratio(merged, tol)
+    decomposable = ratio <= 1.0
     if decomposable:
         pair = None
     lines = [
         f"fermionic image: {merged.k} particles in {merged.n} modes",
         f"max |relation| = {worst:.3e}"
         + (f" at {list(pair[0])} / {list(pair[1])}" if pair else ""),
+        f"decomposability ratio = {ratio:.3e}",
         f"decomposable: {'yes' if decomposable else 'no'}",
     ]
     payload = {
@@ -267,6 +269,7 @@ def _cmd_pluecker(args) -> int:
         "fermionic_shape": [merged.k, merged.n],
         "max_relation": worst,
         "argmax_pair": [list(pair[0]), list(pair[1])] if pair else None,
+        "decomposability_ratio": ratio,
         "decomposable": decomposable,
     }
     if args.list_violations:
@@ -505,6 +508,9 @@ def _selftest_checks():
         expected = 6.0 * 3.0 ** (-1.5)
         if abs(wedge_power_norm(ghz3) - expected) > 1e-9:
             return "triple-GHZ wedge power is off"
+        quad = FermionState(4, 8, {(1, 2, 3, 4): half, (5, 6, 7, 8): half})
+        if abs(wedge_power_norm(quad) - 1.0) > 1e-9:
+            return "quadruple-GHZ wedge power is not 1"
         w_type = FermionState(2, 4, {(1, 2): third, (1, 3): third, (1, 4): third})
         if wedge_power_norm(w_type) > 1e-12:
             return "shared-mode pair state has nonzero wedge power"

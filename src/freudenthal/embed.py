@@ -9,8 +9,8 @@ keys of species i, and ``merge_species`` maps it isometrically into the
 (sum k_i)-th wedge power of the direct-sum mode space by shifting each
 species' modes past the previous blocks, one scatter of the tensor.  A
 state is a tensor product of per-species decomposable factors exactly
-when its merged image is decomposable (by kernel rank, or the paper's
-Plücker relations): ``separability_via_embedding``.  One
+when its merged image is decomposable (by the rank of its lift, or the
+paper's Plücker relations): ``separability_via_embedding``.  One
 rank-one test of a flattening of the dense tensor decides every
 one-vs-rest cut of all-qubit shapes (``qubit_separability_direct``) and
 any grouping of the species (``factors_across_cut``).  The one-particle
@@ -295,7 +295,7 @@ def tensor_from_multistate(psi: MultiState) -> np.ndarray:
 
 def separability_via_embedding(psi: MultiState, tol: float = DEFAULT_TOL) -> bool:
     """True iff psi is a tensor product of per-species decomposable factors:
-    ``is_decomposable`` (kernel rank) of the merged fermionic image."""
+    ``is_decomposable`` (lift rank) of the merged fermionic image."""
     if psi.is_zero():
         raise ValueError("zero state has no separability verdict")
     return is_decomposable(merge_species(psi), tol)

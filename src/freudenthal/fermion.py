@@ -7,9 +7,9 @@ e_{i_1} ^ ... ^ e_{i_k}; ``amplitudes`` lists the nonzero ones as a
 mapping.  Every kernel below reads that array.  On top of the wedge
 arithmetic this module provides
 
-  * decomposability P = v_1 ^ ... ^ v_k, decided by the kernel rank of
-    v -> v ^ P, and the equivalent quadratic Plücker relations, which give
-    the witnesses and the independent cross-check,
+  * decomposability P = v_1 ^ ... ^ v_k, decided by the rank of the lift
+    M[L, t] = +-P[L u {t}], and the equivalent quadratic Plücker relations,
+    which give the witnesses and the independent cross-check,
   * the wedge-power invariant ||P ^ ... ^ P|| (d factors, for k even and
     n = d k), which vanishes on W-type states and not on GHZ-type ones,
   * the one-particle reduced density matrix rho with Tr rho = 1, and the
@@ -25,8 +25,8 @@ arithmetic this module provides
 
 States are immutable; all functions are pure.  ``wedge`` and
 ``apply_matrix`` set amplitudes of magnitude at most PRUNE_TOL to zero.
-A state whose C(n, k) exceeds MAX_DIMENSION is not built (ShapeError); the
-wedge products formed on the way, as in ``wedge_power_norm``, may exceed it.
+A state whose C(n, k) exceeds MAX_DIMENSION is not built, nor is an index
+table past MAX_TABLE_ENTRIES (ShapeError).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "ShapeError",
     "PRUNE_TOL",
     "MAX_DIMENSION",
+    "MAX_TABLE_ENTRIES",
     "wedge",
     "wedge_of_vectors",
     "pluecker_relation",
@@ -68,9 +69,12 @@ NORM_CHECK_TOL = 1e-6
 # Largest amplitude array a state may be built or drawn with: C(n, k) for a
 # fermionic state, C(sum n_i, sum k_i) for the merged image of a
 # multi-species one.  Nine qubits merge to C(18, 9) = 48 620 and fit; ten do
-# not.  Wedge products are not capped: the power of a (2, 20) state passes
-# through C(20, 10) = 184 756.
+# not.
 MAX_DIMENSION = 1 << 16
+# Largest index table that _scan_tables or the wedge-power chain may build:
+# the scan of six qubits' (6, 12) image, 4.4e6 entries, fits; the (4, 20)
+# chain, 6.2e7, does not.
+MAX_TABLE_ENTRIES = 128 * MAX_DIMENSION
 
 Key = tuple[int, ...]
 
@@ -105,6 +109,16 @@ def _dimension(k: int, n: int) -> int:
             f"more than MAX_DIMENSION = {MAX_DIMENSION}"
         )
     return math.comb(n, k)
+
+
+def _check_table(entries: int, what: str) -> None:
+    """ShapeError when an index table for ``what`` would have more than
+    MAX_TABLE_ENTRIES entries."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise ShapeError(
+            f"{what} needs an index table of {entries} entries, "
+            f"more than MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
 
 
 def _store(array: np.ndarray, cutoff: float) -> np.ndarray:
@@ -310,15 +324,14 @@ def wedge(u: FermionState, v: FermionState) -> FermionState:
 
 
 def wedge_of_vectors(vectors: np.ndarray) -> FermionState:
-    """Decomposable state v_1 ^ ... ^ v_k from the rows of a k x n array."""
+    """v_1 ^ ... ^ v_k for the rows of a k x n array V: amplitude K is det V[:, K]."""
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim != 2:
         raise ShapeError("expected a k x n array of row vectors")
     k, n = vectors.shape
-    state = FermionState._wrap(1, n, vectors[0], 0.0)
-    for row in vectors[1:]:
-        state = wedge(state, FermionState._wrap(1, n, row, 0.0))
-    return state
+    _dimension(k, n)
+    minors = np.linalg.det(np.moveaxis(vectors[:, _combos(n, k)], 1, 0))
+    return FermionState._wrap(k, n, minors)
 
 
 # -- Plücker relations ---------------------------------------------------------
@@ -357,6 +370,10 @@ def _scan_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vector padded with a zero in slot 0 (used for summands killed by a
     repeated index).  Two shuffle tables give the terms: e_A ^ e_t =
     parity * e_{A u t} and e_{B_j} ^ e_{B \\ B_j} = (-1)^j e_B."""
+    _check_table(
+        math.comb(n, k - 1) * math.comb(n, k + 1) * (k + 1),
+        f"the Plücker scan at shape ({k}, {n})",
+    )
     lower, single, parity = _shuffle_table(k - 1, 1, n)
     insert = np.zeros((math.comb(n, k - 1), n), dtype=np.intp)
     insert[lower, single] = np.arange(1, len(lower) + 1)[:, None]
@@ -413,28 +430,26 @@ def pluecker_violations(
 
 
 def decomposability_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:
-    """The margin s_(n-k) / (tol s_0) of the kernel test, for the singular
-    values s_0 >= s_1 >= ... of the n x C(n, k+1) matrix M with rows e_t ^ P
-    (e_t ^ e_L = sign * e_K).  P = v_1 ^ ... ^ v_k exactly when the kernel of
-    v -> v ^ P has dimension >= k (Griffiths-Harris, *Principles of
-    Algebraic Geometry*, 1.5), i.e. when at most n - k singular values
-    exceed tol * s_0, i.e. when the ratio is at most 1.  It is 0 when M has
-    at most n - k singular values, and for k = 1, where P spans the kernel
-    (M is then n x C(n, 2), too large to build for many modes).  Each
-    amplitude fills the n - k rows of the modes outside its key, so
-    ||M||_F^2 = (n - k) ||P||^2 and s_0 is in [||P|| sqrt((n - k) / n),
-    ||P||]: the threshold scales with the norm."""
+    """The margin s_j / (tol s_0) of the rank test, for the singular values
+    s_0 >= s_1 >= ... of the C(n, j-1) x n lift M of Q (``_lift``): Q = P
+    and j = k, or, for n/2 < k < n, the Hodge dual Q = *P and j = n - k.
+    M^T conj(M) = ||P||^2 gamma for Q's occupation matrix gamma = k rho,
+    with eigenvalues in [0, 1] summing to j, and a rank-j projector exactly
+    when Q, and so P, is decomposable (Coleman, Rev. Mod. Phys. 35, 668
+    (1963)).  So P is decomposable when the ratio is at most 1, and the
+    threshold scales with s_0 in [||P|| sqrt(j / n), ||P||].  The ratio is 0
+    when M has at most j singular values (k = 1, k = n).  *P[K^c] = +-P[K]
+    with signs (-1)^(sum K) up to one global sign, a diagonal unitary that
+    leaves the singular values alone: Q is P's array reversed (K^c order)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if P.is_zero():
         raise ValueError("zero state has no decomposability verdict")
-    if P.k == 1:
-        return 0.0
-    mode, rest, sign = _shuffle_table(1, P.k, P.n)
-    mat = np.zeros((P.n, len(mode)), dtype=complex)
-    mat[mode, np.arange(len(mode))[:, None]] = sign * P._array[rest]
-    sing = np.linalg.svd(mat, compute_uv=False)
-    return float(sing[P.n - P.k] / (tol * sing[0])) if len(sing) > P.n - P.k else 0.0
+    j, form = P.k, P._array
+    if P.n < 2 * P.k < 2 * P.n:
+        j, form = P.n - P.k, form[::-1]
+    sing = np.linalg.svd(_lift(form, j, P.n), compute_uv=False)
+    return float(sing[j] / (tol * sing[0])) if len(sing) > j else 0.0
 
 
 def is_decomposable(P: FermionState, tol: float = DEFAULT_TOL) -> bool:
@@ -451,13 +466,25 @@ def wedge_power_norm(P: FermionState) -> float:
 
     The power is a multiple of the top form, so this is one scalar's
     magnitude; it vanishes on W-type states and equals d! d^(-d/2) on the
-    d-level GHZ images.
+    d-level GHZ images.  For k = 2 it is d! |Pf A| = d! sqrt|det A| for
+    A[i, j] = P[i, j] = -A[j, i], in log space (inf past the float range);
+    for k >= 4, the top amplitude of the chain P ^ P ^ ... ^ P.
     """
     if P.k % 2 != 0:
         raise ShapeError("wedge powers of odd-degree states anticommute to zero")
     if P.n % P.k != 0:
         raise ShapeError(f"mode count {P.n} is not a multiple of the degree {P.k}")
     d = P.n // P.k
+    if P.k == 2:
+        skew = np.zeros((P.n, P.n), dtype=complex)
+        skew[tuple(_combos(P.n, 2).T)] = P._array
+        logdet = np.linalg.slogdet(skew - skew.T)[1]  # -inf when singular
+        with np.errstate(over="ignore"):
+            return float(np.exp(math.lgamma(d + 1) + 0.5 * logdet))
+    _check_table(
+        max(math.comb(P.n, m * P.k) * math.comb(m * P.k, P.k) for m in range(2, d + 1)),
+        f"the wedge power at shape ({P.k}, {P.n})",
+    )
     power = P
     for _ in range(d - 1):
         power = wedge(power, P)

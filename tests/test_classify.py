@@ -410,8 +410,8 @@ class TestGeneralShapes:
         assert "wedge_power_norm" in label.invariants_report
 
     def test_eight_qubit_sized_fermion_state(self, rng):
-        # C(16, 8) = 12 870 amplitudes: the kernel matrix is 16 x 11 440,
-        # where the full Pluecker scan would need gigabytes of tables.
+        # C(16, 8) = 12 870 amplitudes: the lift is 11 440 x 16, where the
+        # full Pluecker scan would need gigabytes of tables.
         from freudenthal.fermion import wedge_of_vectors
 
         generic = random_state("fermion", seed=81, shape=(8, 16))
@@ -425,9 +425,10 @@ class TestGeneralShapes:
 
     def test_wedge_powers_past_the_cap(self):
         # Only a state's own array is held to MAX_DIMENSION.  Two 10-level
-        # qudits merge to (2, 20), 190 amplitudes, whose wedge power passes
-        # through (10, 20), C(20, 10) = 184 756 > MAX_DIMENSION.
-        from freudenthal.fermion import MAX_DIMENSION, _shuffle_table, wedge_power_norm
+        # qudits merge to (2, 20), 190 amplitudes, whose wedge power, as a
+        # chain of products, would pass through (10, 20),
+        # C(20, 10) = 184 756 > MAX_DIMENSION.
+        from freudenthal.fermion import MAX_DIMENSION, wedge_power_norm
 
         assert math.comb(20, 10) > MAX_DIMENSION
         shape = SystemShape(((1, 10), (1, 10)))
@@ -441,11 +442,33 @@ class TestGeneralShapes:
         label = classify_state("fermion", draw)
         assert label.name == "entangled"
         assert label.invariants_report["wedge_power_norm"] > 0.0
-        _shuffle_table.cache_clear()  # its (8, 2, 20) table alone is 8.3M entries
+
+    def test_pair_states_at_many_modes(self):
+        # A chain of wedge products would pass through C(40, 20) and
+        # C(100, 50) amplitudes; d! sqrt|det A| for P's skew matrix A needs none.
+        for shape in ((2, 40), (2, 100)):
+            draw = random_state("fermion", seed=85, shape=shape)
+            label = classify_state("fermion", draw)
+            assert label.name == "entangled"
+            n, d = shape[1], shape[1] // 2
+            skew = np.zeros((n, n), dtype=complex)
+            for (i, j), value in draw.amplitudes.items():
+                skew[i - 1, j - 1], skew[j - 1, i - 1] = value, -value
+            expected = math.factorial(d) * math.sqrt(abs(np.linalg.det(skew)))
+            assert label.invariants_report["wedge_power_norm"] == pytest.approx(expected, rel=1e-9)
+
+    def test_two_twenty_level_qudits(self):
+        shape = SystemShape(((1, 20), (1, 20)))
+        ghz = MultiState(shape, {((i,), (i,)): 20**-0.5 for i in range(1, 21)})
+        label = classify_state("multi", ghz)
+        assert label.name == "entangled"
+        expected = math.factorial(20) * 20.0**-10  # d! d^(-d/2) at d = 20
+        assert expected == pytest.approx(237588.0867)
+        assert label.invariants_report["wedge_power_norm"] == pytest.approx(expected, rel=1e-12)
 
     def test_one_particle_states_are_separable_at_many_modes(self):
-        # Every nonzero vector is decomposable: the ratio is 0 without the
-        # n x C(n, 2) kernel matrix (300 x 44 850 here).
+        # Every nonzero vector is decomposable: the lift is 1 x 300, with
+        # one singular value, so the ratio is 0.
         from freudenthal.fermion import decomposability_ratio
 
         vector = random_state("fermion", seed=83, shape=(1, 300))

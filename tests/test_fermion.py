@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import random_complex, random_fermion_amplitudes
 from freudenthal.classify import SYSTEM_TABLE, classify_state
+from freudenthal.embed import MultiState, SystemShape, merge_species
 from freudenthal.fermion import (
     DEFAULT_TOL,
+    MAX_TABLE_ENTRIES,
     FermionState,
     ShapeError,
     _scan_tables,
+    _shuffle_table,
     _witness,
     apply_matrix,
+    decomposability_ratio,
     from_freudenthal,
     idempotency_defect,
     is_decomposable,
@@ -163,10 +167,23 @@ class TestWedge:
             minor = np.linalg.det(vecs[:, [m - 1 for m in key]])
             assert P.amplitude(key) == pytest.approx(minor)
 
+    def test_wedge_of_vectors_matches_iterated_wedge(self, rng):
+        # The maximal minors against the products of one-vectors, one wedge
+        # at a time.
+        for k, n in [(1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 6), (4, 8), (5, 5)]:
+            vecs = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+            rows = [FermionState(1, n, dict(zip([(m,) for m in range(1, n + 1)], v))) for v in vecs]
+            iterated = rows[0]
+            for row in rows[1:]:
+                iterated = wedge(iterated, row)
+            P = wedge_of_vectors(vecs)
+            assert P.shape == (k, n)
+            assert (P - iterated).norm() <= 1e-12 * iterated.norm(), (k, n)
+
     def test_wedge_of_vectors_past_the_cap_midway(self, rng):
         # The result, C(20, 15) = 15 504 amplitudes, fits under MAX_DIMENSION;
-        # the partial products pass through C(20, 10) = 184 756, which would
-        # not, and need not.
+        # an iterated product would pass through C(20, 10) = 184 756, which
+        # would not, and need not.
         vecs = rng.normal(size=(15, 20)) + 1j * rng.normal(size=(15, 20))
         P = wedge_of_vectors(vecs)
         assert P.shape == (15, 20)
@@ -285,6 +302,92 @@ class TestWedgePower:
             wedge_power_norm(ghz6())  # odd degree
         with pytest.raises(ShapeError):
             wedge_power_norm(FermionState(2, 5, {(1, 2): 1.0}))
+
+
+def _ref_kernel_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:
+    """The margin decomposability_ratio had before it read the lift:
+    s_(n-k) / (tol s_0) of the n x C(n, k+1) matrix with rows e_t ^ P."""
+    if P.k == 1:
+        return 0.0
+    mode, rest, sign = _shuffle_table(1, P.k, P.n)
+    mat = np.zeros((P.n, len(mode)), dtype=complex)
+    mat[mode, np.arange(len(mode))[:, None]] = sign * P._array[rest]
+    sing = np.linalg.svd(mat, compute_uv=False)
+    return float(sing[P.n - P.k] / (tol * sing[0])) if len(sing) > P.n - P.k else 0.0
+
+
+def _ref_chain_power(P: FermionState) -> float:
+    """|top amplitude| of P ^ P ^ ... ^ P, one wedge at a time."""
+    power = P
+    for _ in range(P.n // P.k - 1):
+        power = wedge(power, P)
+    return abs(power.amplitude(tuple(range(1, P.n + 1))))
+
+
+def _merged_multi_states(rng):
+    """Merged images of product, biseparable and generic multi states."""
+    species_sets = [((1, 2),) * 3, ((1, 2),) * 4, ((1, 2),) * 5, ((1, 2), (2, 4), (1, 3))]
+    for species in species_sets:
+        shape = SystemShape(species)
+        dims = [math.comb(n, k) for k, n in species]
+        factors = [wedge_of_vectors(random_complex(rng, k, n))._array for k, n in species]
+        product = factors[0]
+        for f in factors[1:]:
+            product = np.multiply.outer(product, f)
+        split = np.multiply.outer(random_complex(rng, dims[0]), random_complex(rng, *dims[1:]))
+        for tensor in (product, split, random_complex(rng, *dims)):
+            keys = itertools.product(*(shape.local_keys(i + 1) for i in range(len(species))))
+            amps = dict(zip(keys, tensor.ravel()))
+            psi = MultiState(shape, amps)
+            yield merge_species((1.0 / psi.norm()) * psi)
+
+
+class TestLiftRatioParity:
+    """The lift's ratio and the k = 2 Pfaffian against the kernel matrix and
+    the wedge chain they replaced."""
+
+    SHAPES = [(3, 5), (4, 6), (4, 7), (5, 7), (5, 8), (6, 9), (7, 10), (8, 10), (9, 12),
+              (1, 5), (2, 6), (2, 12), (3, 8), (4, 10), (6, 6)]
+    EPSILONS = [0.0, *np.logspace(-12, -6, 13), 1.0]
+
+    def test_verdicts_match_the_kernel_matrix(self, rng):
+        count = 0
+        for k, n in self.SHAPES:
+            for _ in range(3):
+                plane = random_plane_state(k, n, rng)
+                generic = random_state(k, n, rng)
+                for eps in self.EPSILONS:
+                    P = plane + eps * generic
+                    assert (decomposability_ratio(P) <= 1.0) == (_ref_kernel_ratio(P) <= 1.0), (
+                        k, n, eps
+                    )
+                    count += 1
+        for P in _merged_multi_states(rng):
+            assert (decomposability_ratio(P) <= 1.0) == (_ref_kernel_ratio(P) <= 1.0), P.shape
+            count += 1
+        assert count == 15 * 3 * 15 + 12
+
+    def test_pfaffian_matches_the_chain(self, rng):
+        for n in range(4, 17, 2):
+            for _ in range(3):
+                P = random_state(2, n, rng)
+                assert wedge_power_norm(P) == pytest.approx(_ref_chain_power(P), rel=1e-12)
+            plane = random_plane_state(2, n, rng)
+            assert wedge_power_norm(plane) <= 1e-12 and _ref_chain_power(plane) <= 1e-12
+
+    def test_pfaffian_overflow_is_inf(self):
+        ghz = FermionState(2, 40, {(2 * i - 1, 2 * i): 20**-0.5 for i in range(1, 21)})
+        assert wedge_power_norm(ghz) == pytest.approx(math.factorial(20) * 20.0**-10)
+        assert wedge_power_norm(1e20 * ghz) == math.inf
+
+    def test_chain_and_scan_tables_are_budgeted(self):
+        # The (4, 20) chain's step to degree 8 and the (8, 16) scan tables.
+        assert math.comb(20, 12) * math.comb(12, 4) > MAX_TABLE_ENTRIES
+        with pytest.raises(ShapeError, match="MAX_TABLE_ENTRIES"):
+            wedge_power_norm(FermionState(4, 20, {(1, 2, 3, 4): 1.0}))
+        assert math.comb(16, 7) * math.comb(16, 9) * 9 > MAX_TABLE_ENTRIES
+        with pytest.raises(ShapeError, match="MAX_TABLE_ENTRIES"):
+            pluecker_scan(FermionState(8, 16, {tuple(range(1, 9)): 1.0}))
 
 
 class TestReducedDensityMatrix:

@@ -596,6 +596,37 @@ class TestOversizedShapes:
             assert (code, out) == (3, ""), argv
             assert "MAX_DIMENSION" in err, argv
 
+    def test_table_budget(self, capsys, tmp_path):
+        # Within MAX_DIMENSION, every file classifies; past MAX_TABLE_ENTRIES,
+        # pluecker refuses its scan tables (1.18e9 entries at (8, 16)) and
+        # the wedge power of the (4, 20) image is omitted.
+        files = {}
+        for name, system, shape in (
+            ("f8_16", "fermion", "8,16"),
+            ("f2_40", "fermion", "2,40"),
+            ("f2_100", "fermion", "2,100"),
+            ("m20x2", "multi", "1,20;1,20"),
+            ("m5x4", "multi", "1,5;1,5;1,5;1,5"),
+        ):
+            files[name] = str(tmp_path / f"{name}.json")
+            code, _, _ = run_cli(
+                capsys, "random", "--system", system, "--shape", shape, "--seed", "3",
+                "-o", files[name],
+            )
+            assert code == 0, name
+        for name, path in files.items():
+            code, out, _ = run_cli(capsys, "classify", path, "--json")
+            assert code == 0, name
+            report = json.loads(out)["invariants_report"]
+            assert ("wedge_power_norm" in report) == (name != "m5x4"), name
+        code, out, _ = run_cli(capsys, "invariant", files["m5x4"], "--json")
+        assert code == 0
+        assert json.loads(out)["fermionic_shape"] == [4, 20]
+        assert "wedge_power_norm" not in json.loads(out)
+        code, out, err = run_cli(capsys, "pluecker", files["f8_16"])
+        assert (code, out) == (3, "")
+        assert "MAX_TABLE_ENTRIES" in err
+
     def test_random_and_multi_shapes(self, capsys):
         # Past the cap: C(19, 9) = 92 378, and fifteen qubits, whose 2^15
         # amplitudes merge to C(30, 15) = 155 117 520.
