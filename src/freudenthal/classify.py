@@ -79,7 +79,12 @@ from .fermion import (
     wedge_power_norm,
 )
 from .triple import (
-    FreudenthalVector, _binary_scaled, quartic_form, quartic_tangle, rank_margins
+    FreudenthalVector,
+    _binary_scaled,
+    _exact_quartic,
+    quartic_form,
+    quartic_tangle,
+    rank_margins,
 )
 
 __all__ = [
@@ -125,8 +130,9 @@ class System:
     maps take a native state: ``fermion`` to its fermionic image,
     ``multistate`` to a ``MultiState`` (``None`` for the bosons),
     ``freudenthal`` to its triple-system image.  ``tangle`` is the explicit
-    polynomial (``None`` for ``fermion``, whose amplitudes are its
-    coordinates) and ``embedded_tangle`` the embedding route.  A rank-two
+    polynomial of a canonical array, which ``invariant_for`` evaluates
+    exactly rescaled (``None`` for ``fermion``, whose amplitudes are its
+    coordinates), and ``embedded_tangle`` the embedding route.  A rank-two
     image is named ``rank_two`` and split by ``cuts``; states without an
     image are classified by ``general`` and drawn by ``draw``.
     ``file_keys`` maps the state-file keys of a dense system to (canonical
@@ -276,12 +282,17 @@ def three_tangle(amplitudes: np.ndarray) -> float:
     """Absolute three-tangle of a two-by-two-by-two amplitude tensor.
 
     Evaluates the degree-4 polynomial directly in the eight amplitudes
-    (indexed decimally: a[i,j,k] -> a_{4i+2j+k}); the Freudenthal route
-    computes the same number through the embedded coordinates.
+    (indexed decimally: a[i,j,k] -> a_{4i+2j+k}), rescaled exactly like every
+    quartic here (``invariant_for``); the Freudenthal route computes the same
+    number through the embedded coordinates.
     """
     arr = np.asarray(amplitudes, dtype=complex)
     if arr.shape != (2, 2, 2):
         raise ShapeError(f"expected shape (2, 2, 2), got {arr.shape}")
+    return _exact_quartic(_three_tangle, arr)
+
+
+def _three_tangle(arr: np.ndarray) -> float:
     a = arr.reshape(8)
     t = 4.0 * (
         (a[0] * a[7]) ** 2
@@ -377,7 +388,11 @@ def invariant_for(system: str, state) -> float:
 
     Every value here comes from a direct transcription in the native
     amplitudes; ``invariant_via_embedding`` computes the same quantity
-    along an independent route for cross-checking.
+    along an independent route for cross-checking.  Each polynomial, like
+    ``quartic_form`` on the other route, is evaluated on the amplitudes
+    divided exactly by a power of two and multiplied back
+    (``_exact_quartic``): 0 where it vanishes and inf past the float range
+    at any scale, never nan.
     """
     spec = lookup_system(system)
     if spec.freudenthal is None:
@@ -385,7 +400,7 @@ def invariant_for(system: str, state) -> float:
     state = spec.native(state)
     if spec.tangle is None:
         return _abs_tangle(spec.freudenthal(state))
-    return spec.tangle(state)
+    return _exact_quartic(spec.tangle, state)
 
 
 def invariant_via_embedding(system: str, state) -> float:
@@ -703,7 +718,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             fermion=three_qubit_to_fermion,
             multistate=multistate_from_tensor,
             freudenthal=lambda a: three_qubit_to_freudenthal(a),
-            tangle=three_tangle,
+            tangle=_three_tangle,
             embedded_tangle=lambda a: _abs_tangle(to_freudenthal(three_qubit_to_fermion(a))),
             cuts=_tensor_cuts,
         ),

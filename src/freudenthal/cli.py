@@ -46,11 +46,13 @@ from .fermion import (
     DEFAULT_TOL,
     FermionState,
     ShapeError,
+    _relation_values,
+    _violation_cutoff,
+    _violations,
+    _worst_relation,
     decomposability_ratio,
     idempotency_defect,
     one_particle_rdm,
-    pluecker_scan,
-    pluecker_violations,
     wedge_power_norm,
 )
 from .statefile import StateFile, StateParseError, dump_state_text, load_state_file
@@ -134,7 +136,8 @@ def _cmd_invariant(args) -> int:
     if spec.has_image(state):
         direct = invariant_for(system, state)
         embedded = invariant_via_embedding(system, state)
-        difference = abs(direct - embedded)
+        # 0 when the routes give the same float, inf (past the range) included
+        difference = abs(direct - embedded) if direct != embedded else 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneracyWarning)
             label = classify_state(system, state, tol)
@@ -250,7 +253,8 @@ def _cmd_pluecker(args) -> int:
     merged = SYSTEM_TABLE[statefile.system].fermion(statefile.state)
     if merged.is_zero():
         raise _Failure("cannot scan the zero state", EXIT_SHAPE)
-    worst, pair = pluecker_scan(merged)
+    values = _relation_values(merged)  # one table build for scan and listing
+    worst, pair = _worst_relation(merged, values)
     # The verdict is the rank test's, as in classify; on a decomposable state
     # every relation is roundoff, so the worst one's position is no witness.
     ratio = decomposability_ratio(merged, tol)
@@ -273,10 +277,15 @@ def _cmd_pluecker(args) -> int:
         "decomposable": decomposable,
     }
     if args.list_violations:
-        rows = pluecker_violations(merged, tol=tol)
-        lines.append(f"violations above tolerance: {len(rows)}")
+        cutoff = _violation_cutoff(merged, tol)
+        rows = _violations(merged, values, cutoff)
+        lines.append(
+            f"relations above the scan's cutoff tol*||P||^2 = {cutoff:.3e} "
+            f"(the scan's own rule, not the verdict's): {len(rows)}"
+        )
         for a, b, magnitude in rows:
             lines.append(f"  {list(a)} / {list(b)}: {magnitude:.3e}")
+        payload["violation_cutoff"] = cutoff
         payload["violations"] = [
             {"fixed": list(a), "moving": list(b), "magnitude": magnitude}
             for a, b, magnitude in rows
@@ -594,7 +603,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plk = sub.add_parser("pluecker", help="decomposability scan")
     p_plk.add_argument("file", help="state file")
     p_plk.add_argument(
-        "--list-violations", action="store_true", help="print every violating pair"
+        "--list-violations",
+        action="store_true",
+        help="print every pair above the scan's cutoff tol*||P||^2",
     )
     add_common(p_plk)
     p_plk.set_defaults(func=_cmd_pluecker)

@@ -26,14 +26,15 @@ arithmetic this module provides
 States are immutable; all functions are pure.  ``wedge`` and
 ``apply_matrix`` set amplitudes of magnitude at most PRUNE_TOL to zero.
 A state whose C(n, k) exceeds MAX_DIMENSION is not built, nor is an index
-table past MAX_TABLE_ENTRIES (ShapeError).
+table past MAX_TABLE_ENTRIES (ShapeError); only tables of at most
+MAX_DIMENSION entries stay cached between calls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -73,7 +74,7 @@ NORM_CHECK_TOL = 1e-6
 MAX_DIMENSION = 1 << 16
 # Largest index table that _scan_tables or the wedge-power chain may build:
 # the scan of six qubits' (6, 12) image, 4.4e6 entries, fits; the (4, 20)
-# chain, 6.2e7, does not.
+# chain, 6.2e7, does not.  Tables past MAX_DIMENSION entries are not cached.
 MAX_TABLE_ENTRIES = 128 * MAX_DIMENSION
 
 Key = tuple[int, ...]
@@ -236,6 +237,25 @@ class FermionState(_ArrayState):
 # -- dense index tables --------------------------------------------------------
 
 
+def _cache_small(entries):
+    """``lru_cache`` for an index-table builder that keeps only tables of at
+    most MAX_DIMENSION entries; ``entries(*args)`` is the size of the table
+    a call builds.  Larger tables are built on every call and freed after
+    it, so a long-lived process does not hold them."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=32)(build)
+
+        @wraps(build)
+        def table(*args):
+            return (cached if entries(*args) <= MAX_DIMENSION else build)(*args)
+
+        table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
+        return table
+
+    return decorate
+
+
 @lru_cache(maxsize=32)
 def _combos(n: int, j: int) -> np.ndarray:
     """The j-subsets of the 0-based modes range(n), one per row, in lex order."""
@@ -260,7 +280,7 @@ def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-@lru_cache(maxsize=32)
+@_cache_small(lambda j, l, n: math.comb(n, j + l) * math.comb(j + l, j))
 def _shuffle_table(j: int, l: int, n: int) -> tuple[np.ndarray, ...]:
     """Index table of the exterior product of a j-form and an l-form on C^n.
 
@@ -360,7 +380,7 @@ def pluecker_relation(P: FermionState, a: Sequence[int], b: Sequence[int]) -> co
     return total
 
 
-@lru_cache(maxsize=16)
+@_cache_small(lambda k, n: math.comb(n, k - 1) * math.comb(n, k + 1) * (k + 1))
 def _scan_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precomputed index tables for the full relation scan at shape (k, n).
 
@@ -396,15 +416,15 @@ def _witness(k: int, n: int, r: int) -> tuple[Key, Key]:
 
 
 def _relation_values(P: FermionState) -> np.ndarray:
-    """All relation values at once via the cached tables."""
+    """All relation values at once via the index tables."""
     first, second, sign = _scan_tables(P.k, P.n)
     vec = np.concatenate(([0.0], P._array))
     return (sign * vec[first] * vec[second]).sum(axis=1)
 
 
-def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
-    """Largest |relation| over all index pairs and one maximizing pair."""
-    values = _relation_values(P)
+def _worst_relation(
+    P: FermionState, values: np.ndarray
+) -> tuple[float, tuple[Key, Key] | None]:
     if not values.size:
         return 0.0, None
     magnitudes = np.abs(values)
@@ -412,21 +432,38 @@ def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
     return float(magnitudes[r]), _witness(P.k, P.n, r)
 
 
-def pluecker_violations(
-    P: FermionState, tol: float = DEFAULT_TOL
-) -> list[tuple[Key, Key, float]]:
-    """All index pairs whose |relation| exceeds tol * ||P||^2, sorted by
-    decreasing magnitude."""
+def _violation_cutoff(P: FermionState, tol: float) -> float:
+    """The scan's own rule: a relation violates when |relation| > tol ||P||^2."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    cutoff = tol * P.norm() ** 2
-    magnitudes = np.abs(_relation_values(P))
+    return tol * P.norm() ** 2
+
+
+def _violations(
+    P: FermionState, values: np.ndarray, cutoff: float
+) -> list[tuple[Key, Key, float]]:
+    magnitudes = np.abs(values)
     out = [
         (*_witness(P.k, P.n, r), float(magnitudes[r]))
         for r in np.flatnonzero(magnitudes > cutoff)
     ]
     out.sort(key=lambda t: -t[2])
     return out
+
+
+def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
+    """Largest |relation| over all index pairs and one maximizing pair."""
+    return _worst_relation(P, _relation_values(P))
+
+
+def pluecker_violations(
+    P: FermionState, tol: float = DEFAULT_TOL
+) -> list[tuple[Key, Key, float]]:
+    """All index pairs whose |relation| exceeds tol * ||P||^2, sorted by
+    decreasing magnitude.  This is the scan's own rule; the decomposability
+    verdict is ``decomposability_ratio``'s."""
+    cutoff = _violation_cutoff(P, tol)
+    return _violations(P, _relation_values(P), cutoff)
 
 
 def decomposability_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:

@@ -275,15 +275,6 @@ _SHARP_TERMS = {
 }
 
 
-def _cross_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product u x v = [(u+v)# - u# - v#] / 2, formed term by term so
-    that arguments of very different size lose no accuracy."""
-    left, right, sign = _SHARP_TERMS[kind]
-    terms = u.take(left, axis=-1) * v.take(right, axis=-1)
-    terms += v.take(left, axis=-1) * u.take(right, axis=-1)
-    return 0.5 * (sign * terms).sum(-1)
-
-
 def _sharp_vec(kind: AlgebraKind, v: np.ndarray) -> np.ndarray:
     left, right, sign = _SHARP_TERMS[kind]
     return (sign * v.take(left, axis=-1) * v.take(right, axis=-1)).sum(-1)

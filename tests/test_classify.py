@@ -335,6 +335,25 @@ class TestScaleSafety:
                     scale,
                 )
 
+    def test_invariants_rescale_exactly(self):
+        # Library use, outside the CLI's warning capture: no warning at all,
+        # the verdict kept, and both routes give 0 where the invariant
+        # vanishes or underflows and inf where it overflows, never nan.
+        for rep in REPS:
+            for scale in (1e-170, 1e-100, 1e100, 1e160, 1e300):
+                state = scale * rep.state
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    label = classify_state(rep.system, state)
+                    embedded = invariant_via_embedding(rep.system, state)
+                where = (rep.system, rep.name, scale)
+                assert label_core(label) == label_core(rep.expected), where
+                tangle = label.invariants_report["tangle_abs"]
+                if rep.expected_tangle == 0.0 or scale < 1.0:
+                    assert tangle == embedded == 0.0, where
+                else:
+                    assert tangle == embedded == math.inf, where
+
 
 class TestSplitting:
     def test_biseparable_images_share_fermionic_class(self):

@@ -3,6 +3,7 @@
 import importlib.resources
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from freudenthal.classify import SYSTEM_TABLE, classify_state
 from freudenthal.embed import MultiState, SystemShape, merge_species
 from freudenthal.fermion import (
     DEFAULT_TOL,
+    MAX_DIMENSION,
     MAX_TABLE_ENTRIES,
     FermionState,
     ShapeError,
@@ -388,6 +390,23 @@ class TestLiftRatioParity:
         assert math.comb(16, 7) * math.comb(16, 9) * 9 > MAX_TABLE_ENTRIES
         with pytest.raises(ShapeError, match="MAX_TABLE_ENTRIES"):
             pluecker_scan(FermionState(8, 16, {tuple(range(1, 9)): 1.0}))
+
+    def test_only_small_tables_stay_cached(self, rng):
+        # One (6, 12) scan builds 4.4e6 table entries; none outlives it.  The
+        # shuffle tables it reads (5544 entries each) and the lift's stay.
+        _scan_tables.cache_clear()
+        _shuffle_table.cache_clear()
+        P = random_state(6, 12, rng)
+        pluecker_scan(P)
+        assert _scan_tables.cache_info().currsize == 0
+        assert _shuffle_table.cache_info().currsize == 2
+        for args in ((5, 1, 12), (1, 6, 12)):
+            assert math.prod(_shuffle_table(*args)[0].shape) <= MAX_DIMENSION
+            assert _shuffle_table(*args) is _shuffle_table(*args)
+        built = [weakref.ref(table) for table in _scan_tables(6, 12)]
+        assert all(ref() is None for ref in built)
+        decomposability_ratio(P)
+        assert _shuffle_table.cache_info().currsize == 3
 
 
 class TestReducedDensityMatrix:

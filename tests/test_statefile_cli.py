@@ -12,7 +12,7 @@ import pytest
 from freudenthal.classify import random_state
 from freudenthal.cli import main
 from freudenthal.embed import MultiState, SystemShape
-from freudenthal.fermion import FermionState, ShapeError
+from freudenthal.fermion import FermionState, ShapeError, wedge_of_vectors
 from freudenthal.representatives import all_representatives
 from freudenthal.statefile import (
     StateFile,
@@ -362,6 +362,20 @@ class TestCliInvariant:
             payload = json.loads(out)
             assert payload["route_difference"] <= 1e-9
 
+    def test_overflowing_qubit_fermion4_file(self, capsys, tmp_path):
+        # The corpus GHZ times 1e100: |T| ~ 1e400 on both routes.
+        ghz = load_state_file(corpus_path("qubit_fermion4_ghz.json"))
+        big = tmp_path / "big.json"
+        big.write_text(dump_state_text(StateFile(ghz.system, 1e100 * ghz.state)))
+        code, out, _ = run_cli(capsys, "invariant", str(big), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tangle_abs"] is payload["tangle_abs_embedded"] is None
+        assert (payload["route_difference"], payload["rank"]) == (0.0, 4)
+        code, out, _ = run_cli(capsys, "classify", str(big), "--json")
+        assert code == 0
+        assert json.loads(out)["invariants_report"]["tangle_abs"] is None
+
     def test_general_shape_reports_wedge_power(self, capsys):
         code, out, _ = run_cli(
             capsys, "invariant", corpus_path("multi_four_qubit_first.json"), "--json"
@@ -415,6 +429,28 @@ class TestCliPluecker:
         tops = [v["magnitude"] for v in payload["violations"]]
         assert tops == sorted(tops, reverse=True)
 
+
+    def test_violation_listing_names_its_rule(self, capsys, tmp_path):
+        # A (3, 8) plane plus 3.2e-8 of a generic state: the lift's ratio
+        # (about 2.4) says not decomposable, while no relation passes the
+        # scan's own cutoff tol * ||P||^2.
+        rng = np.random.default_rng(0)
+        plane = wedge_of_vectors(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+        state = (1.0 / plane.norm()) * plane + 3.2e-8 * random_state("fermion", 0, (3, 8))
+        path = tmp_path / "near.json"
+        path.write_text(dump_state_text(StateFile("fermion", state)))
+        cutoff = 1e-8 * state.norm() ** 2
+        code, out, _ = run_cli(capsys, "pluecker", str(path), "--list-violations")
+        assert code == 0
+        assert "decomposable: no" in out
+        assert (
+            f"relations above the scan's cutoff tol*||P||^2 = {cutoff:.3e} "
+            "(the scan's own rule, not the verdict's): 0"
+        ) in out
+        code, out, _ = run_cli(capsys, "pluecker", str(path), "--list-violations", "--json")
+        payload = json.loads(out)
+        assert payload["violation_cutoff"] == pytest.approx(cutoff, rel=1e-12)
+        assert payload["decomposable"] is False and payload["violations"] == []
 
 class TestCliRdm:
     def test_fermion_ghz(self, capsys):

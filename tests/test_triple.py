@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from freudenthal.jordan import (
     AlgebraKind,
     JordanElement,
     KindMismatch,
+    _J3_COORDS,
+    _SHARP_TERMS,
+    _sharp_vec,
     _trace_vec,
     close,
     identity,
@@ -28,8 +33,8 @@ from freudenthal.statefile import load_state_file
 from freudenthal.triple import (
     DEFAULT_RANK_TOL,
     FreudenthalVector,
-    _cubic,
-    _pieces,
+    _evaluate,
+    _tables,
     fvector,
     quartic_form,
     quartic_form_linearized,
@@ -253,6 +258,81 @@ class TestRank:
             rank(ghz_vector(AlgebraKind.J1), tol=-1.0)
 
 
+# -- reference: the closed forms evaluated from Jordan pieces -------------------
+# The package evaluates q, T(x) and the rank-one residuals from monomial
+# tables; these are the structured evaluations the tables were expanded from.
+
+
+def _cross_vec(kind: AlgebraKind, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product u x v = [(u+v)# - u# - v#] / 2, formed term by term so
+    that arguments of very different size lose no accuracy."""
+    left, right, sign = _SHARP_TERMS[kind]
+    terms = u.take(left, axis=-1) * v.take(right, axis=-1)
+    terms += v.take(left, axis=-1) * u.take(right, axis=-1)
+    return 0.5 * (sign * terms).sum(-1)
+
+
+def _pieces(kind: AlgebraKind, vec: np.ndarray):
+    """Jordan pieces shared by q, T(x) and the rank-one test, for a
+    (..., 2 + 2d) stack: the scalars (alpha, beta), the pair (A, B),
+    t = (A,B) - alpha beta, the sharps (A#, B#) and the norms (N(A), N(B)),
+    the last from (X, X#) = 3 N(X)."""
+    d = kind.dimension
+    scalars = vec[..., :2]
+    pair = vec[..., 2:].reshape(*vec.shape[:-1], 2, d)
+    t = _trace_vec(kind, pair[..., 0, :], pair[..., 1, :]) - vec[..., 0] * vec[..., 1]
+    sharps = _sharp_vec(kind, pair)
+    return scalars, pair, t, sharps, _trace_vec(kind, pair, sharps) / 3.0
+
+
+def _quartic(kind: AlgebraKind, pieces) -> np.ndarray:
+    scalars, _, t, sharps, norms = pieces
+    return (
+        2.0 * t * t
+        - 8.0 * _trace_vec(kind, sharps[..., 0, :], sharps[..., 1, :])
+        + 8.0 * (scalars * norms).sum(-1)
+    )
+
+
+def _cubic(kind: AlgebraKind, pieces) -> np.ndarray:
+    """T(x,x,x) = (-t alpha + 2N(B),  t beta - 2N(A),
+                   t A - 4 B x A# + 2 beta B#,  -t B + 4 A x B# - 2 alpha A#)."""
+    scalars, pair, t, sharps, norms = pieces
+    crosses = _cross_vec(kind, pair[..., ::-1, :], sharps)  # (B x A#, A x B#)
+    sign = np.array([1.0, -1.0])
+    head = sign * (2.0 * norms[..., ::-1] - t[..., None] * scalars)
+    tail = sign[:, None] * (
+        t[..., None, None] * pair
+        - 4.0 * crosses
+        + 2.0 * scalars[..., ::-1, None] * sharps[..., ::-1, :]
+    )
+    return np.concatenate((head, tail.reshape(*pair.shape[:-2], -1)), axis=-1)
+
+
+def _structured_rank_margins(x: FreudenthalVector, tol: float = DEFAULT_RANK_TOL):
+    """rank_margins with every quantity evaluated from one set of pieces of
+    x / ||x||, the products as 3x3 matrix products."""
+    vec = x.coefficients()
+    nx = np.linalg.norm(vec)
+    if nx == 0.0:
+        return 0, []
+    kind = x.kind
+    pieces = _pieces(kind, vec / nx)
+    ratios = [float(abs(_quartic(kind, pieces))) / tol]
+    if ratios[-1] > 1.0:
+        return 4, ratios
+    ratios.append(float(np.linalg.norm(_cubic(kind, pieces))) / tol)
+    if ratios[-1] > 1.0:
+        return 3, ratios
+    scalars, pair, _, sharps, _ = pieces
+    mats = (pair @ _J3_COORDS[kind]).reshape(2, 3, 3)  # (A, B) in M_3(C)
+    products = mats @ mats[::-1] - scalars[0] * scalars[1] * np.eye(3)  # AB, BA
+    sharp_residual = sharps - scalars[::-1, None] * pair[::-1]  # A# - beta B, ...
+    residual = max(np.abs(products).max(), np.abs(sharp_residual).max())
+    ratios.append(float(residual) / tol)
+    return (2 if ratios[-1] > 1.0 else 1), ratios
+
+
 def _skew_vec(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = kind.dimension
     return (
@@ -349,7 +429,8 @@ def _structured_kind(kind: AlgebraKind, rng) -> list[FreudenthalVector]:
     return out
 
 
-def _parity_inputs() -> list[FreudenthalVector]:
+@functools.lru_cache(maxsize=None)
+def _parity_inputs() -> tuple[FreudenthalVector, ...]:
     rng = np.random.default_rng(61)
     inputs = []
     corpus = importlib.resources.files("freudenthal") / "corpus"
@@ -368,7 +449,7 @@ def _parity_inputs() -> list[FreudenthalVector]:
     for kind in ALL_KINDS:
         inputs += _structured_kind(kind, rng)
         inputs += [random_vector(kind, rng) for _ in range(10)]
-    return [lam * x for x in inputs for lam in (1.0, 1e-7, 1e-3, 1e4, 1e8)]
+    return tuple(lam * x for x in inputs for lam in (1.0, 1e-7, 1e-3, 1e4, 1e8))
 
 
 class TestClosedFormRankParity:
@@ -394,6 +475,95 @@ class TestClosedFormRankParity:
         r, ratios = rank_margins(x)
         assert r == 2 and ratios[:2] == [0.0, 0.0]
         assert ratios[2] == pytest.approx(alpha * 0.8 / DEFAULT_RANK_TOL)
+
+
+def _structured_triple_product(x, y, z) -> np.ndarray:
+    u, v, w = x.coefficients(), y.coefficients(), z.coefficients()
+    stack = np.stack((u + v + w, u + v, u + w, v + w, u, v, w))
+    t = _cubic(x.kind, _pieces(x.kind, stack))
+    return (t[0] - t[1] - t[2] - t[3] + t[4] + t[5] + t[6]) / 6.0
+
+
+def _structured_linearized(*vectors) -> complex:
+    total = 0.0
+    for r in range(1, 5):
+        for subset in itertools.combinations(vectors, r):
+            s = sum(v.coefficients() for v in subset)
+            total += (-1) ** (4 - r) * _quartic(subset[0].kind, _pieces(subset[0].kind, s))
+    return total / 24.0
+
+
+class TestMonomialTables:
+    """The tables against the structured evaluations above."""
+
+    def test_rank_test_matches_structured(self):
+        for x in _parity_inputs():
+            r, ratios = rank_margins(x)
+            ref, ref_ratios = _structured_rank_margins(x)
+            assert r == ref, (x, ratios, ref_ratios)
+            assert len(ratios) == len(ref_ratios)
+            for got, want in zip(ratios, ref_ratios):
+                assert abs(got - want) * DEFAULT_RANK_TOL <= 1e-13
+
+    def test_quartic_and_cubic_match_structured(self):
+        # compared where the rank test finds them nonzero: |q| > tol ||x||^4,
+        # ||T(x)|| > tol ||x||^3
+        compared = 0
+        for x in _parity_inputs():
+            kind, vec = x.kind, x.coefficients()
+            pieces = _pieces(kind, vec)
+            nx = np.linalg.norm(vec)
+            want_q, got_q = _quartic(kind, pieces), quartic_form(x)
+            if abs(want_q) > DEFAULT_RANK_TOL * nx**4:
+                assert abs(got_q - want_q) <= 1e-12 * abs(want_q)
+                compared += 1
+            want_t = _cubic(kind, pieces)
+            got_t = _evaluate(_tables(kind)[1], vec)
+            if np.linalg.norm(want_t) > DEFAULT_RANK_TOL * nx**3:
+                assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
+        assert compared >= 1000
+
+    def test_each_monomial_once(self):
+        for kind in ALL_KINDS:
+            for table in _tables(kind):
+                monomials = np.sort(table.index, axis=0).T
+                assert len(np.unique(monomials, axis=0)) == len(monomials)
+                assert (table.coef.reshape(len(monomials), -1) != 0).any(axis=1).all()
+        sizes = {kind: [t.index.shape[1] for t in _tables(kind)] for kind in ALL_KINDS}
+        assert sizes[AlgebraKind.J3] == [85, 320, 100]
+        assert sizes[AlgebraKind.J12] == [27, 96, 36]
+
+    def test_polarizations_match_structured(self, rng):
+        for kind in ALL_KINDS:
+            for _ in range(5):
+                x, y, z, w = (random_vector(kind, rng) for _ in range(4))
+                want = _structured_triple_product(x, y, z)
+                got = triple_product(x, y, z).coefficients()
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                want_q = _structured_linearized(x, y, z, w)
+                assert abs(quartic_form_linearized(x, y, z, w) - want_q) <= 1e-12 * abs(want_q)
+
+
+class TestExactRescale:
+    def test_same_bits_in_range(self, rng):
+        for kind in ALL_KINDS:
+            x = random_vector(kind, rng)
+            for lam in (1e-60, 1.0, 1e60):
+                vec = (lam * x).coefficients()
+                table = _tables(kind)[0]
+                assert quartic_form(lam * x) == _evaluate(table, vec)
+                assert (lam * x).norm() == np.linalg.norm(vec)
+
+    def test_past_the_float_range(self):
+        for kind in ALL_KINDS:
+            ghz, w = ghz_vector(kind), w_vector(kind)
+            assert quartic_form(1e100 * ghz) == complex(math.inf, 0.0)
+            assert quartic_tangle(1e300 * ghz).real == math.inf
+            assert quartic_form(1e-100 * ghz) == 0.0
+            for lam in (1e-170, 1e160, 1e300):
+                assert quartic_form(lam * w) == 0.0
+            assert (1e300 * w).norm() == pytest.approx(1e300 * w.norm())
+            assert (1e200 * ghz).norm() == pytest.approx(1e200)
 
 
 class TestValidation:
