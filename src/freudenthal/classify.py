@@ -44,7 +44,6 @@ import numpy as np
 from .embed import (
     _BOSON2Q_WEIGHTS,
     _BOSON3_WEIGHTS,
-    _PAIR_INDEX,
     _PAIR_SLOTS,
     MultiState,
     SystemShape,
@@ -71,6 +70,7 @@ from .fermion import (
     ShapeError,
     _compound_columns,
     _dimension,
+    _hitchin_trace,
     apply_matrix,
     decomposability_ratio,
     is_decomposable,
@@ -82,7 +82,6 @@ from .triple import (
     FreudenthalVector,
     _binary_scaled,
     _exact_quartic,
-    quartic_form,
     quartic_tangle,
     rank_margins,
 )
@@ -130,9 +129,12 @@ class System:
     maps take a native state: ``fermion`` to its fermionic image,
     ``multistate`` to a ``MultiState`` (``None`` for the bosons),
     ``freudenthal`` to its triple-system image.  ``tangle`` is the explicit
-    polynomial of a canonical array, which ``invariant_for`` evaluates
+    quartic of a canonical array, a pencil discriminant of two of its
+    slices (``_pencil_discriminant``), which ``invariant_for`` evaluates
     exactly rescaled (``None`` for ``fermion``, whose amplitudes are its
-    coordinates), and ``embedded_tangle`` the embedding route.  A rank-two
+    coordinates).  ``embedded_tangle`` is the other route: 2 |q| of the
+    triple-system image for the dense systems, Hitchin's invariant for
+    ``fermion``.  A rank-two
     image is named ``rank_two`` and split by ``cuts``; states without an
     image are classified by ``general`` and drawn by ``draw``.
     ``file_keys`` maps the state-file keys of a dense system to (canonical
@@ -274,125 +276,65 @@ class GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Explicit quartic invariants, one polynomial per system.
+# Explicit quartic invariants: a pencil discriminant per dense system.
 # ---------------------------------------------------------------------------
 
 
 def three_tangle(amplitudes: np.ndarray) -> float:
     """Absolute three-tangle of a two-by-two-by-two amplitude tensor.
 
-    Evaluates the degree-4 polynomial directly in the eight amplitudes
-    (indexed decimally: a[i,j,k] -> a_{4i+2j+k}), rescaled exactly like every
-    quartic here (``invariant_for``); the Freudenthal route computes the same
-    number through the embedded coordinates.
+    Cayley's hyperdeterminant by Schläfli's construction: 4 |disc| of the
+    pencil det(s a[0] + t a[1]) of the two 2 x 2 slices, rescaled exactly
+    like every quartic here (``invariant_for``); the Freudenthal route
+    computes the same number through the embedded coordinates.
     """
     arr = np.asarray(amplitudes, dtype=complex)
     if arr.shape != (2, 2, 2):
         raise ShapeError(f"expected shape (2, 2, 2), got {arr.shape}")
-    return _exact_quartic(_three_tangle, arr)
+    return _exact_quartic(_qubit3_tangle, arr)
 
 
-def _three_tangle(arr: np.ndarray) -> float:
-    a = arr.reshape(8)
-    t = 4.0 * (
-        (a[0] * a[7]) ** 2
-        + (a[1] * a[6]) ** 2
-        + (a[2] * a[5]) ** 2
-        + (a[3] * a[4]) ** 2
-    )
-    t -= 8.0 * (
-        a[0] * a[7] * a[1] * a[6]
-        + a[0] * a[7] * a[2] * a[5]
-        + a[0] * a[7] * a[3] * a[4]
-        + a[1] * a[6] * a[2] * a[5]
-        + a[1] * a[6] * a[3] * a[4]
-        + a[2] * a[5] * a[3] * a[4]
-    )
-    t += 16.0 * (a[0] * a[3] * a[5] * a[6] + a[7] * a[4] * a[2] * a[1])
-    return abs(t)
+def _det2(m) -> complex:
+    """The determinant of the 2 x 2 matrix [[m0, m1], [m2, m3]]."""
+    return m[0] * m[3] - m[1] * m[2]
 
 
-def _boson2q_tangle(b: np.ndarray) -> float:
-    t = 4.0 * (b[0, 0] ** 2 * b[1, 2] ** 2 + b[0, 2] ** 2 * b[1, 0] ** 2)
-    t += 16.0 * (
-        b[1, 1] ** 2 * b[0, 0] * b[0, 2] + b[0, 1] ** 2 * b[1, 0] * b[1, 2]
-    )
-    t -= 8.0 * b[0, 0] * b[0, 2] * b[1, 0] * b[1, 2]
-    t -= 16.0 * (
-        b[0, 1] * b[0, 2] * b[1, 0] * b[1, 1]
-        + b[0, 0] * b[0, 1] * b[1, 1] * b[1, 2]
-    )
-    return abs(t)
+def _pfaffian4(d) -> complex:
+    """The Pfaffian d01 d23 - d02 d13 + d03 d12 of the 4 x 4 skew matrix
+    whose lex-ordered pair entries d01, d02, d03, d12, d13, d23 are ``d``."""
+    return d[0] * d[5] - d[1] * d[4] + d[2] * d[3]
 
 
-def _boson3_tangle(c: np.ndarray) -> float:
-    t = (
-        4.0 * c[0] ** 2 * c[3] ** 2
-        - 12.0 * c[1] ** 2 * c[2] ** 2
-        - 24.0 * c[0] * c[1] * c[2] * c[3]
-        + 16.0 * (c[0] * c[2] ** 3 + c[3] * c[1] ** 3)
-    )
-    return abs(t)
+def _pencil_discriminant(m0, m1, form) -> float:
+    """4 |b^2 - 4ac| for the binary quadratic form(s m0 + t m1) = a s^2 +
+    b st + c t^2, where ``form`` is a quadratic form in the flat lists m0, m1
+    (Python complex arithmetic beats numpy scalars at this size)."""
+    a, c = form(m0), form(m1)
+    b = form([u + v for u, v in zip(m0, m1)]) - a - c
+    return 4.0 * abs(b * b - 4.0 * a * c)
 
 
-def _qubit_fermion4_tangle(packed: np.ndarray) -> float:
-    rows = packed.tolist()  # Python complex arithmetic beats numpy scalars
+def _hankel(r) -> list:
+    """The symmetric 2 x 2 matrix [[r0, r1], [r1, r2]], flat."""
+    return [r[0], r[1], r[1], r[2]]
 
-    def d(i: int, j: int, k: int) -> complex:
-        if j < k:
-            return rows[i][_PAIR_INDEX[(j, k)]]
-        return -rows[i][_PAIR_INDEX[(k, j)]]
 
-    t = 4.0 * (
-        (d(0, 2, 3) * d(1, 0, 1)) ** 2
-        + (d(0, 2, 1) * d(1, 0, 3)) ** 2
-        + (d(0, 0, 2) * d(1, 1, 3)) ** 2
-        + (d(0, 3, 1) * d(1, 2, 0)) ** 2
-        + (d(0, 0, 3) * d(1, 2, 1)) ** 2
-        + (d(0, 0, 1) * d(1, 2, 3)) ** 2
-    )
-    t += 8.0 * (
-        d(0, 0, 2) * d(0, 2, 1) * d(1, 0, 3) * d(1, 1, 3)
-        + d(0, 2, 1) * d(0, 3, 1) * d(1, 0, 3) * d(1, 2, 0)
-        + d(0, 0, 2) * d(0, 0, 3) * d(1, 1, 3) * d(1, 2, 1)
-        + d(0, 0, 3) * d(0, 3, 1) * d(1, 2, 0) * d(1, 2, 1)
-    )
-    t += 16.0 * (
-        d(0, 0, 3) * d(0, 2, 1) * d(1, 1, 3) * d(1, 2, 0)
-        + d(0, 0, 1) * d(0, 2, 3) * d(1, 0, 3) * d(1, 2, 1)
-        + d(0, 0, 2) * d(0, 3, 1) * d(1, 0, 3) * d(1, 2, 1)
-        + d(0, 0, 3) * d(0, 2, 1) * d(1, 0, 1) * d(1, 2, 3)
-    )
-    t -= 16.0 * (
-        d(0, 0, 1) * d(0, 2, 3) * d(1, 1, 3) * d(1, 2, 0)
-        + d(0, 0, 2) * d(0, 3, 1) * d(1, 0, 1) * d(1, 2, 3)
-    )
-    t -= 8.0 * (
-        d(0, 2, 1) * d(0, 2, 3) * d(1, 0, 1) * d(1, 0, 3)
-        + d(0, 0, 2) * d(0, 2, 3) * d(1, 0, 1) * d(1, 1, 3)
-        + d(0, 2, 3) * d(0, 3, 1) * d(1, 0, 1) * d(1, 2, 0)
-        + d(0, 0, 2) * d(0, 3, 1) * d(1, 1, 3) * d(1, 2, 0)
-        + d(0, 0, 3) * d(0, 2, 3) * d(1, 0, 1) * d(1, 2, 1)
-        + d(0, 0, 3) * d(0, 2, 1) * d(1, 0, 3) * d(1, 2, 1)
-        + d(0, 0, 1) * d(0, 2, 3) * d(1, 0, 1) * d(1, 2, 3)
-        + d(0, 0, 1) * d(0, 2, 1) * d(1, 0, 3) * d(1, 2, 3)
-        + d(0, 0, 1) * d(0, 0, 2) * d(1, 1, 3) * d(1, 2, 3)
-        + d(0, 0, 1) * d(0, 3, 1) * d(1, 2, 0) * d(1, 2, 3)
-        + d(0, 0, 1) * d(0, 0, 3) * d(1, 2, 1) * d(1, 2, 3)
-    )
-    return abs(t)
+def _qubit3_tangle(a: np.ndarray) -> float:
+    return _pencil_discriminant(*a.reshape(2, 4).tolist(), _det2)
 
 
 def invariant_for(system: str, state) -> float:
     """Absolute quartic invariant from the system's explicit polynomial.
 
-    Every value here comes from a direct transcription in the native
-    amplitudes; ``invariant_via_embedding`` computes the same quantity
-    along an independent route for cross-checking.  Each polynomial, like
-    ``quartic_form`` on the other route, is evaluated on the amplitudes
-    divided exactly by a power of two and multiplied back
-    (``_exact_quartic``): 0 where it vanishes and inf past the float range
-    at any scale, never nan.
+    For the four dense systems it is the discriminant of a pencil of two
+    slices of the native amplitudes (``_pencil_discriminant``) under 2 x 2
+    determinants, or 4 x 4 Pfaffians for ``qubit_fermion4``; for
+    ``fermion``, 2 |q| of its triple-system coordinates.
+    ``invariant_via_embedding`` computes the same quantity along a route
+    that shares no formula with this one.  Each polynomial, like the quartic
+    on the other route, is evaluated on the amplitudes divided exactly by a
+    power of two and multiplied back (``_exact_quartic``): 0 where it
+    vanishes and inf past the float range at any scale, never nan.
     """
     spec = lookup_system(system)
     if spec.freudenthal is None:
@@ -407,10 +349,12 @@ def invariant_via_embedding(system: str, state) -> float:
     """Absolute quartic invariant along the embedding route.
 
     Qubit-containing systems are pushed all the way into the three-in-six
-    fermionic picture before the coordinates are read off; the bosonic
-    systems use their coordinate maps directly.  The plain fermionic
-    system takes the doubled-quartic-form route through the Jordan-algebra
-    machinery, which must agree with its coordinate transcription.
+    fermionic picture before the triple-system coordinates are read off;
+    the bosonic systems use their coordinate maps directly; each then
+    takes 2 |q|.  The plain fermionic system, whose explicit route is that
+    quartic, takes Hitchin's invariant instead: (2/3) |Tr K_P^2| for
+    K_P(e_t*) = *((iota_t P) ^ P), built from the exterior algebra alone
+    and exactly rescaled like every quartic here.
     """
     spec = lookup_system(system)
     if spec.embedded_tangle is None:
@@ -688,6 +632,11 @@ def _abs_tangle(x: FreudenthalVector) -> float:
     return abs(quartic_tangle(x))
 
 
+def _hitchin_tangle(state: FermionState) -> float:
+    """(2/3) |Tr K_P^2| = 2 |q| from Hitchin's K_P, exactly rescaled."""
+    return _exact_quartic(lambda p: 2.0 * abs(_hitchin_trace(p)) / 3.0, state._array)
+
+
 SYSTEM_TABLE: Mapping[str, System] = {
     spec.name: spec
     for spec in (
@@ -698,7 +647,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             fermion=lambda state: state,
             multistate=lambda state: MultiState._wrap(SystemShape((state.shape,)), state._array),
             freudenthal=lambda state: to_freudenthal(state),
-            embedded_tangle=lambda state: 2.0 * abs(quartic_form(to_freudenthal(state))),
+            embedded_tangle=_hitchin_tangle,
             general=_classify_fermion_general,
             draw=_draw_fermion,
         ),
@@ -718,7 +667,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             fermion=three_qubit_to_fermion,
             multistate=multistate_from_tensor,
             freudenthal=lambda a: three_qubit_to_freudenthal(a),
-            tangle=_three_tangle,
+            tangle=_qubit3_tangle,
             embedded_tangle=lambda a: _abs_tangle(to_freudenthal(three_qubit_to_fermion(a))),
             cuts=_tensor_cuts,
         ),
@@ -729,7 +678,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             act=_act_boson2q,
             fermion=lambda b: three_qubit_to_fermion(boson2q_to_three_qubit(b)),
             freudenthal=lambda b: boson2q_to_freudenthal(b, check_norm=False),
-            tangle=_boson2q_tangle,
+            tangle=lambda b: _pencil_discriminant(*map(_hankel, b.tolist()), _det2),
             embedded_tangle=lambda b: _abs_tangle(boson2q_to_freudenthal(b, check_norm=False)),
             cuts=_tensor_cuts,
         ),
@@ -742,7 +691,9 @@ SYSTEM_TABLE: Mapping[str, System] = {
                 boson2q_to_three_qubit(boson3_to_boson2q(c))
             ),
             freudenthal=lambda c: boson3_to_freudenthal(c, check_norm=False),
-            tangle=_boson3_tangle,
+            tangle=lambda c: _pencil_discriminant(
+                _hankel(c[:3].tolist()), _hankel(c[1:].tolist()), _det2
+            ),
             embedded_tangle=lambda c: _abs_tangle(boson3_to_freudenthal(c, check_norm=False)),
             # The symmetric three-boson subspace has no biseparable orbit:
             # its rank-two conditions already force a product state.
@@ -757,7 +708,7 @@ SYSTEM_TABLE: Mapping[str, System] = {
             # The packed columns are the lex-ordered pairs of the four modes.
             multistate=lambda d: MultiState._wrap(SystemShape(((1, 2), (2, 4))), d),
             freudenthal=lambda d: qubit_fermion4_to_freudenthal(d),
-            tangle=_qubit_fermion4_tangle,
+            tangle=lambda d: _pencil_discriminant(*d.tolist(), _pfaffian4),
             embedded_tangle=lambda d: _abs_tangle(
                 to_freudenthal(qubit_fermion4_to_fermion(d))
             ),

@@ -16,7 +16,10 @@ arithmetic this module provides
     idempotency defect of gamma = k rho (zero exactly on decomposable
     states),
   * the k-fold compound action of an n x n matrix, computed as iterated
-    interior products of P by the matrix rows (Cauchy-Binet), and
+    interior products of P by the matrix rows (Cauchy-Binet),
+  * for (k, n) = (3, 6) Hitchin's invariant Tr K_P^2 with
+    K_P(e_t*) = *((iota_t P) ^ P), the quartic invariant from the exterior
+    algebra alone, and
   * for (k, n) = (3, 6) the coordinate bijection onto the Freudenthal
     triple system over the 3 x 3 matrix algebra, with modes 4, 5, 6
     playing the role of the barred partners of modes 1, 2, 3: one signed
@@ -526,6 +529,39 @@ def wedge_power_norm(P: FermionState) -> float:
     for _ in range(d - 1):
         power = wedge(power, P)
     return abs(complex(power._array[0]))  # the top form's one amplitude
+
+
+# -- Hitchin's invariant -------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _hitchin_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index table of K_P on C^6: K_P[s, t] = sum over the ten summands c of
+    sign[s, t, c] P[lifted[s, t, c]] P[second[s, c, 0]], the summands of
+    _shuffle_table(2, 3, 6) at the 5-subset that omits mode s (0-based),
+    with the Hodge sign (-1)^s and the lift's signs folded into sign, which
+    is 0 where the lift is (lifted then reads slot 0)."""
+    # The lift of the slot numbers 1..20 holds +-(i + 1) where the lift of P
+    # holds +-P[i], and 0 where it holds 0.
+    slots = _lift(np.arange(1.0, 21.0), 3, 6).real.astype(np.intp)
+    first, second, sign = _shuffle_table(2, 3, 6)
+    # Reversed, the lex-ordered 5-subsets run over the omitted modes 0..5.
+    lifted = slots[first[::-1]].transpose(0, 2, 1)  # [s, t, c]
+    hodge = 1.0 - 2.0 * (np.arange(6) % 2)
+    sign = hodge[:, None, None] * np.sign(lifted) * sign
+    return np.maximum(np.abs(lifted) - 1, 0), second[::-1, :, None], sign
+
+
+def _hitchin_trace(dense: np.ndarray) -> complex:
+    """Tr K_P^2 for the dense (3, 6) amplitudes P, where Hitchin's
+    K_P : V* -> V sends e_t* to *((iota_t P) ^ P): column t of the lift
+    wedged with P, read through the Hodge map of wedge^5 C^6 onto C^6.  It
+    is 3 q of the Freudenthal image of P, from the exterior algebra alone
+    (Hitchin, J. Diff. Geom. 55 (2000); Lévay and Vrana, PRA 78, 022329
+    (2008))."""
+    lifted, second, sign = _hitchin_table()
+    k = ((sign * dense[lifted]) @ dense[second])[..., 0]
+    return complex(k.ravel() @ k.T.ravel())
 
 
 # -- one-particle reduced density matrix --------------------------------------

@@ -115,6 +115,29 @@ class TestExplicitInvariants:
                 embedded = invariant_via_embedding(system, state)
                 assert direct == pytest.approx(embedded, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("system", RANKED_SYSTEMS)
+    def test_routes_share_no_code(self, system, monkeypatch):
+        # With the triple system's form evaluator broken, exactly one route
+        # still answers, and correctly: the explicit one for the dense
+        # systems, Hitchin's for fermion.
+        state = random_state(system, seed=17)
+        expected = invariant_for(system, state)
+        assert invariant_via_embedding(system, state) == pytest.approx(expected, rel=1e-12)
+
+        def broken(*args):
+            raise RuntimeError("triple-system form evaluated")
+
+        monkeypatch.setattr("freudenthal.triple._evaluate", broken)
+        answers = {}
+        for route in (invariant_for, invariant_via_embedding):
+            try:
+                answers[route.__name__] = route(system, state)
+            except RuntimeError:
+                pass
+        survivor = "invariant_via_embedding" if system == "fermion" else "invariant_for"
+        assert list(answers) == [survivor]
+        assert answers[survivor] == pytest.approx(expected, rel=1e-12)
+
     def test_unsupported_system(self):
         with pytest.raises(ShapeError):
             invariant_for("multi", None)
