@@ -47,7 +47,6 @@ from .fermion import (
     FermionState,
     ShapeError,
     _relation_values,
-    _violation_cutoff,
     _violations,
     _worst_relation,
     decomposability_ratio,
@@ -56,6 +55,7 @@ from .fermion import (
     wedge_power_norm,
 )
 from .statefile import StateFile, StateParseError, dump_state_text, load_state_file
+from .triple import _binary_scaled
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -253,8 +253,8 @@ def _cmd_pluecker(args) -> int:
     merged = SYSTEM_TABLE[statefile.system].fermion(statefile.state)
     if merged.is_zero():
         raise _Failure("cannot scan the zero state", EXIT_SHAPE)
-    values = _relation_values(merged)  # one table build for scan and listing
-    worst, pair = _worst_relation(merged, values)
+    scan = _relation_values(merged)  # one product for scan and listing
+    worst, pair = _worst_relation(merged, *scan)
     # The verdict is the rank test's, as in classify; on a decomposable state
     # every relation is roundoff, so the worst one's position is no witness.
     ratio = decomposability_ratio(merged, tol)
@@ -277,8 +277,7 @@ def _cmd_pluecker(args) -> int:
         "decomposable": decomposable,
     }
     if args.list_violations:
-        cutoff = _violation_cutoff(merged, tol)
-        rows = _violations(merged, values, cutoff)
+        cutoff, rows = _violations(merged, *scan, tol)
         lines.append(
             f"relations above the scan's cutoff tol*||P||^2 = {cutoff:.3e} "
             f"(the scan's own rule, not the verdict's): {len(rows)}"
@@ -312,6 +311,9 @@ def _cmd_rdm(args) -> int:
     state = statefile.state
     if not isinstance(state, FermionState):
         state = spec.multistate(state)
+    # Normalized from the state divided exactly by a power of two: the same
+    # bits in the normal range, and a finite norm at any amplitude scale.
+    state = state._like(_binary_scaled(state._array))
     norm = state.norm()
     if norm == 0.0:
         raise _Failure("cannot reduce the zero state", EXIT_SHAPE)

@@ -9,7 +9,8 @@ arithmetic this module provides
 
   * decomposability P = v_1 ^ ... ^ v_k, decided by the rank of the lift
     M[L, t] = +-P[L u {t}], and the equivalent quadratic Plücker relations,
-    which give the witnesses and the independent cross-check,
+    all of them one product of the lift with v -> v ^ P, which give the
+    witnesses and the independent cross-check,
   * the wedge-power invariant ||P ^ ... ^ P|| (d factors, for k even and
     n = d k), which vanishes on W-type states and not on GHZ-type ones,
   * the one-particle reduced density matrix rho with Tr rho = 1, and the
@@ -29,8 +30,8 @@ arithmetic this module provides
 States are immutable; all functions are pure.  ``wedge`` and
 ``apply_matrix`` set amplitudes of magnitude at most PRUNE_TOL to zero.
 A state whose C(n, k) exceeds MAX_DIMENSION is not built, nor is an index
-table past MAX_TABLE_ENTRIES (ShapeError); only tables of at most
-MAX_DIMENSION entries stay cached between calls.
+table or relation array past MAX_TABLE_ENTRIES (ShapeError); only tables of
+at most MAX_DIMENSION entries stay cached between calls.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .jordan import AlgebraKind
-from .triple import FreudenthalVector
+from .triple import FreudenthalVector, _binary_exponent, _ldexp
 
 __all__ = [
     "FermionState",
@@ -75,9 +76,10 @@ NORM_CHECK_TOL = 1e-6
 # multi-species one.  Nine qubits merge to C(18, 9) = 48 620 and fit; ten do
 # not.
 MAX_DIMENSION = 1 << 16
-# Largest index table that _scan_tables or the wedge-power chain may build:
-# the scan of six qubits' (6, 12) image, 4.4e6 entries, fits; the (4, 20)
-# chain, 6.2e7, does not.  Tables past MAX_DIMENSION entries are not cached.
+# Largest index table or relation array that the wedge-power chain or the
+# Plücker scan may build: the 6.3e5 relations of six qubits' (6, 12) image
+# fit; the (4, 20) chain's 6.2e7 entries and the 1.3e8 relations at (8, 16)
+# do not.  Tables past MAX_DIMENSION entries are not cached.
 MAX_TABLE_ENTRIES = 128 * MAX_DIMENSION
 
 Key = tuple[int, ...]
@@ -116,11 +118,11 @@ def _dimension(k: int, n: int) -> int:
 
 
 def _check_table(entries: int, what: str) -> None:
-    """ShapeError when an index table for ``what`` would have more than
-    MAX_TABLE_ENTRIES entries."""
+    """ShapeError when ``what``, an index table or the relation array, would
+    have more than MAX_TABLE_ENTRIES entries."""
     if entries > MAX_TABLE_ENTRIES:
         raise ShapeError(
-            f"{what} needs an index table of {entries} entries, "
+            f"{what} needs {entries} entries, "
             f"more than MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
         )
 
@@ -136,6 +138,17 @@ def _store(array: np.ndarray, cutoff: float) -> np.ndarray:
     return array
 
 
+def _norm(array: np.ndarray) -> float:
+    """Euclidean norm from Python's complex abs, summed in key order
+    (np.abs and np.linalg.norm round differently): random_state divides by
+    it, so every bit of a drawn state depends on it.  inf past the float
+    range."""
+    try:
+        return math.sqrt(sum(abs(v) ** 2 for v in array.ravel().tolist()))
+    except OverflowError:  # a square past the float range
+        return math.inf
+
+
 class _ArrayState:
     """The arithmetic of FermionState and embed.MultiState, which each hold
     one read-only amplitude array ``_array`` and wrap a new array of their
@@ -147,10 +160,7 @@ class _ArrayState:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def norm(self) -> float:
-        """Euclidean norm from Python's complex abs, summed in key order
-        (np.abs and np.linalg.norm round differently): random_state divides
-        by it, so every bit of a drawn state depends on it."""
-        return math.sqrt(sum(abs(v) ** 2 for v in self._array.ravel().tolist()))
+        return _norm(self._array)
 
     def is_zero(self) -> bool:
         return not self._array.any()
@@ -383,80 +393,68 @@ def pluecker_relation(P: FermionState, a: Sequence[int], b: Sequence[int]) -> co
     return total
 
 
-@_cache_small(lambda k, n: math.comb(n, k - 1) * math.comb(n, k + 1) * (k + 1))
-def _scan_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precomputed index tables for the full relation scan at shape (k, n).
-
-    Row r = a * C(n, k+1) + b pairs the a-th (k-1)-subset A with the b-th
-    (k+1)-subset B (lex order, see _witness); summand j contributes
-    sign[r, j] * P[first[r, j]] * P[second[r, j]] against a dense amplitude
-    vector padded with a zero in slot 0 (used for summands killed by a
-    repeated index).  Two shuffle tables give the terms: e_A ^ e_t =
-    parity * e_{A u t} and e_{B_j} ^ e_{B \\ B_j} = (-1)^j e_B."""
-    _check_table(
-        math.comb(n, k - 1) * math.comb(n, k + 1) * (k + 1),
-        f"the Plücker scan at shape ({k}, {n})",
-    )
-    lower, single, parity = _shuffle_table(k - 1, 1, n)
-    insert = np.zeros((math.comb(n, k - 1), n), dtype=np.intp)
-    insert[lower, single] = np.arange(1, len(lower) + 1)[:, None]
-    signed = np.zeros((math.comb(n, k - 1), n), dtype=np.int8)
-    signed[lower, single] = parity
-    mode, rest, alternating = _shuffle_table(1, k, n)
-    first = insert[:, mode].reshape(-1, k + 1)
-    second = np.where(insert[:, mode] != 0, rest + 1, 0).reshape(-1, k + 1)
-    sign = (signed[:, mode] * alternating).reshape(-1, k + 1)
-    for table in (first, second, sign):
-        table.setflags(write=False)
-    return first, second, sign
-
-
 def _witness(k: int, n: int, r: int) -> tuple[Key, Key]:
-    """The 1-based index pair (A, B) of relation row r of _scan_tables."""
+    """The 1-based index pair (A, B) of row r = a C(n, k+1) + b of the
+    relation array: the a-th (k-1)-subset and the b-th (k+1)-subset."""
     a, b = divmod(int(r), math.comb(n, k + 1))
     lower, upper = _combos(n, k - 1)[a].tolist(), _combos(n, k + 1)[b].tolist()
     return tuple(m + 1 for m in lower), tuple(m + 1 for m in upper)
 
 
-def _relation_values(P: FermionState) -> np.ndarray:
-    """All relation values at once via the index tables."""
-    first, second, sign = _scan_tables(P.k, P.n)
-    vec = np.concatenate(([0.0], P._array))
-    return (sign * vec[first] * vec[second]).sum(axis=1)
+def _relation_values(P: FermionState) -> tuple[np.ndarray, int]:
+    """|relation (A, B)| for every index pair, flat in _witness's row order,
+    for P divided exactly by 2^e (triple._binary_exponent), and e: the
+    magnitudes for P are 4^e times these.
+
+    Relation (A, B) is +-((iota_A P) ^ P)_B, so the array is one product:
+    the lift M[A, t] = +-P[A u {t}] (``_lift``) times W[t, B] = (e_t ^ P)_B,
+    filled from _shuffle_table(1, k, n).  The lift's sign for moving t into
+    A differs from pluecker_relation's by (-1)^(k-1), which the magnitudes
+    drop."""
+    k, n = P.k, P.n
+    _check_table(
+        math.comb(n, k - 1) * math.comb(n, k + 1),
+        f"the Plücker relation array at shape ({k}, {n})",
+    )
+    e = _binary_exponent(P._array)
+    scaled = P._array / math.ldexp(1.0, e)
+    mode, rest, sign = _shuffle_table(1, k, n)
+    wedged = np.zeros((n, len(mode)), dtype=complex)
+    wedged[mode, np.arange(len(mode))[:, None]] = sign * scaled[rest]
+    return np.abs(_lift(scaled, k, n) @ wedged).ravel(), e
 
 
 def _worst_relation(
-    P: FermionState, values: np.ndarray
+    P: FermionState, magnitudes: np.ndarray, e: int
 ) -> tuple[float, tuple[Key, Key] | None]:
-    if not values.size:
+    """The first largest of _relation_values' magnitudes, in P's units (inf
+    past the float range), and its index pair."""
+    if not magnitudes.size:
         return 0.0, None
-    magnitudes = np.abs(values)
     r = int(np.argmax(magnitudes))
-    return float(magnitudes[r]), _witness(P.k, P.n, r)
-
-
-def _violation_cutoff(P: FermionState, tol: float) -> float:
-    """The scan's own rule: a relation violates when |relation| > tol ||P||^2."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return tol * P.norm() ** 2
+    return _ldexp(float(magnitudes[r]), 2 * e), _witness(P.k, P.n, r)
 
 
 def _violations(
-    P: FermionState, values: np.ndarray, cutoff: float
-) -> list[tuple[Key, Key, float]]:
-    magnitudes = np.abs(values)
-    out = [
-        (*_witness(P.k, P.n, r), float(magnitudes[r]))
-        for r in np.flatnonzero(magnitudes > cutoff)
+    P: FermionState, magnitudes: np.ndarray, e: int, tol: float
+) -> tuple[float, list[tuple[Key, Key, float]]]:
+    """The scan's own rule: a relation violates when |relation| > tol ||P||^2,
+    compared in the units of _relation_values (P / 2^e).  Returns the cutoff
+    and the violations by decreasing magnitude, in P's units (inf past the
+    float range)."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    cutoff = tol * _norm(P._array / math.ldexp(1.0, e)) ** 2
+    rows = np.flatnonzero(magnitudes > cutoff)
+    rows = rows[np.argsort(-magnitudes[rows], kind="stable")]
+    return _ldexp(cutoff, 2 * e), [
+        (*_witness(P.k, P.n, r), _ldexp(float(magnitudes[r]), 2 * e)) for r in rows
     ]
-    out.sort(key=lambda t: -t[2])
-    return out
 
 
 def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
     """Largest |relation| over all index pairs and one maximizing pair."""
-    return _worst_relation(P, _relation_values(P))
+    return _worst_relation(P, *_relation_values(P))
 
 
 def pluecker_violations(
@@ -465,8 +463,7 @@ def pluecker_violations(
     """All index pairs whose |relation| exceeds tol * ||P||^2, sorted by
     decreasing magnitude.  This is the scan's own rule; the decomposability
     verdict is ``decomposability_ratio``'s."""
-    cutoff = _violation_cutoff(P, tol)
-    return _violations(P, _relation_values(P), cutoff)
+    return _violations(P, *_relation_values(P), tol)[1]
 
 
 def decomposability_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:
@@ -523,7 +520,7 @@ def wedge_power_norm(P: FermionState) -> float:
             return float(np.exp(math.lgamma(d + 1) + 0.5 * logdet))
     _check_table(
         max(math.comb(P.n, m * P.k) * math.comb(m * P.k, P.k) for m in range(2, d + 1)),
-        f"the wedge power at shape ({P.k}, {P.n})",
+        f"the wedge power's index table at shape ({P.k}, {P.n})",
     )
     power = P
     for _ in range(d - 1):

@@ -3,7 +3,6 @@
 import importlib.resources
 import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from freudenthal.fermion import (
     MAX_TABLE_ENTRIES,
     FermionState,
     ShapeError,
-    _scan_tables,
+    _relation_values,
     _shuffle_table,
     _witness,
     apply_matrix,
@@ -383,30 +382,26 @@ class TestLiftRatioParity:
         assert wedge_power_norm(1e20 * ghz) == math.inf
 
     def test_chain_and_scan_tables_are_budgeted(self):
-        # The (4, 20) chain's step to degree 8 and the (8, 16) scan tables.
+        # The (4, 20) chain's step to degree 8 and the (8, 16) relation array.
         assert math.comb(20, 12) * math.comb(12, 4) > MAX_TABLE_ENTRIES
         with pytest.raises(ShapeError, match="MAX_TABLE_ENTRIES"):
             wedge_power_norm(FermionState(4, 20, {(1, 2, 3, 4): 1.0}))
-        assert math.comb(16, 7) * math.comb(16, 9) * 9 > MAX_TABLE_ENTRIES
+        assert math.comb(16, 7) * math.comb(16, 9) > MAX_TABLE_ENTRIES
         with pytest.raises(ShapeError, match="MAX_TABLE_ENTRIES"):
             pluecker_scan(FermionState(8, 16, {tuple(range(1, 9)): 1.0}))
 
     def test_only_small_tables_stay_cached(self, rng):
-        # One (6, 12) scan builds 4.4e6 table entries; none outlives it.  The
-        # shuffle tables it reads (5544 entries each) and the lift's stay.
-        _scan_tables.cache_clear()
+        # The two shuffle tables one (6, 12) scan reads (5544 entries each)
+        # stay; the decomposability test's lift reads the first of them.
         _shuffle_table.cache_clear()
         P = random_state(6, 12, rng)
         pluecker_scan(P)
-        assert _scan_tables.cache_info().currsize == 0
         assert _shuffle_table.cache_info().currsize == 2
-        for args in ((5, 1, 12), (1, 6, 12)):
+        for args in ((1, 5, 12), (1, 6, 12)):
             assert math.prod(_shuffle_table(*args)[0].shape) <= MAX_DIMENSION
             assert _shuffle_table(*args) is _shuffle_table(*args)
-        built = [weakref.ref(table) for table in _scan_tables(6, 12)]
-        assert all(ref() is None for ref in built)
         decomposability_ratio(P)
-        assert _shuffle_table.cache_info().currsize == 3
+        assert _shuffle_table.cache_info().currsize == 2
 
 
 class TestReducedDensityMatrix:
@@ -576,33 +571,35 @@ def reference_compound(P: FermionState, g: np.ndarray) -> dict:
 
 
 def reference_scan_tables(k: int, n: int):
-    """The index tables of the relation scan built entry by entry."""
-    index = {
-        key: i for i, key in enumerate(itertools.combinations(range(1, n + 1), k))
-    }
+    """The index tables of the relation scan built entry by entry.  Row
+    r = a C(n, k+1) + b pairs the a-th (k-1)-subset A with the b-th
+    (k+1)-subset B; summand j is sign * P[first] * P[second] against the
+    amplitudes padded with a zero in slot 0 (a summand killed by a repeated
+    index reads it), for e_A ^ e_{B_j} = parity e_{A u B_j} and
+    e_{B_j} ^ e_{B \\ B_j} = (-1)^j e_B.  The parity of each (A, B_j) and the
+    splits of each B are looked up once and reused across rows."""
+    modes = range(1, n + 1)
+    index = {key: i + 1 for i, key in enumerate(itertools.combinations(modes, k))}
+    uppers = [
+        (b, [(bj, index[b[:j] + b[j + 1 :]], (-1) ** j) for j, bj in enumerate(b)])
+        for b in itertools.combinations(modes, k + 1)
+    ]
     pairs, first, second, sign = [], [], [], []
-    for a in itertools.combinations(range(1, n + 1), k - 1):
-        for b in itertools.combinations(range(1, n + 1), k + 1):
-            row_f, row_s, row_sign = [], [], []
-            for j, bj in enumerate(b):
-                parity, key = sort_sign(a + (bj,))
-                if parity == 0:
-                    row_f.append(0)
-                    row_s.append(0)
-                    row_sign.append(0)
-                else:
-                    row_f.append(index[key] + 1)
-                    row_s.append(index[b[:j] + b[j + 1 :]] + 1)
-                    row_sign.append(parity * (-1) ** j)
+    for a in itertools.combinations(modes, k - 1):
+        inserted = {t: sort_sign(a + (t,)) for t in modes}
+        for b, summands in uppers:
             pairs.append((a, b))
-            first.append(row_f)
-            second.append(row_s)
-            sign.append(row_sign)
+            for bj, rest, alternating in summands:
+                parity, key = inserted[bj]
+                first.append(index[key] if parity else 0)
+                second.append(rest if parity else 0)
+                sign.append(parity * alternating)
+    shape = (len(pairs), k + 1)
     return (
         pairs,
-        np.array(first, dtype=np.intp),
-        np.array(second, dtype=np.intp),
-        np.array(sign, dtype=np.int8),
+        np.array(first, dtype=np.intp).reshape(shape),
+        np.array(second, dtype=np.intp).reshape(shape),
+        np.array(sign, dtype=np.int8).reshape(shape),
     )
 
 
@@ -663,25 +660,57 @@ class TestCompoundReference:
 
 
 class TestScanTables:
-    SHAPES = [(k, n) for n in range(2, 10) for k in range(1, n)] + [(4, 10)]
+    SHAPES = [(k, n) for n in range(1, 10) for k in range(1, n + 1)]
+    SHAPES += [(4, 10), (5, 12), (6, 12)]
 
-    def test_tables_match_entrywise_builder(self):
-        for k, n in self.SHAPES:
-            pairs, *expected = reference_scan_tables(k, n)
-            for built, ref in zip(_scan_tables(k, n), expected):
-                assert built.dtype == ref.dtype, (k, n)
-                assert np.array_equal(built, ref), (k, n)
-            assert [_witness(k, n, r) for r in range(len(pairs))] == pairs, (k, n)
+    @pytest.mark.parametrize("k,n", SHAPES)
+    def test_relations_match_entrywise_builder(self, k, n, rng):
+        # Both routes add the same k + 1 products, in their own orders (the
+        # product may also fuse multiply-adds), and take one abs.  Each is
+        # within (k + 3) u sum_j |P[A u B_j] P[B \ B_j]| of the exact
+        # relation, for the unit roundoff u = eps / 2, and that sum is at
+        # most ||P||^2 by Cauchy-Schwarz, since the keys A u B_j, and the
+        # keys B \ B_j, are distinct across j.  So the magnitudes differ by
+        # at most (k + 4) eps ||P||^2, the abs included.
+        pairs, first, second, sign = reference_scan_tables(k, n)
+        assert [_witness(k, n, r) for r in range(len(pairs))] == pairs
+        for P in (random_state(k, n, rng), 1e-3 * random_plane_state(k, n, rng)):
+            vec = np.concatenate(([0.0], P._array))
+            expected = np.abs((sign * vec[first] * vec[second]).sum(axis=1))
+            magnitudes, e = _relation_values(P)
+            assert magnitudes.shape == expected.shape
+            bound = (k + 4) * np.finfo(float).eps * P.norm() ** 2
+            assert np.abs(np.ldexp(magnitudes, 2 * e) - expected).max(initial=0.0) <= bound
+            if len(expected) > 1:
+                runner_up, top = np.sort(expected)[-2:]
+                if top - runner_up > bound:
+                    assert pluecker_scan(P)[1] == pairs[int(np.argmax(expected))]
 
     def test_top_degree_has_no_relations(self):
         for n in range(1, 6):
-            first, second, sign = _scan_tables(n, n)
-            assert first.shape == second.shape == sign.shape == (0, n + 1)
             P = FermionState(n, n, {tuple(range(1, n + 1)): 2.0})
+            assert _relation_values(P)[0].shape == (0,)
             assert pluecker_scan(P) == (0.0, None)
             assert pluecker_violations(P) == []
             assert is_decomposable(P)
             assert pluecker_verdict(P)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_power_of_two_scaling_is_exact(self, data):
+        # 2^m P has the scan of P, scaled by 4^m, bit for bit: the scan
+        # divides out the same power of two and multiplies it back.
+        n = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(1, n))
+        unit = st.integers(-4096, 4096).map(lambda v: v / 4096)
+        keys = list(itertools.combinations(range(1, n + 1), k))
+        values = data.draw(
+            st.lists(st.builds(complex, unit, unit), min_size=len(keys), max_size=len(keys))
+        )
+        P = FermionState(k, n, dict(zip(keys, values)))
+        m = data.draw(st.integers(-200, 200))
+        magnitude, pair = pluecker_scan(P)
+        assert pluecker_scan(math.ldexp(1.0, m) * P) == (math.ldexp(magnitude, 2 * m), pair)
 
     def test_corpus_witnesses_match_entrywise_builder(self):
         corpus = importlib.resources.files("freudenthal") / "corpus"

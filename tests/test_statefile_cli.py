@@ -489,6 +489,54 @@ class TestCliRdm:
             assert "no fermionic one-particle reduction" in err
 
 
+class TestCliOverflowingFiles:
+    """GHZ files with both amplitudes at 1e200: ||P||^2 and every relation
+    overflow, and each subcommand still reports what the normalized twin
+    does, with the overflowed magnitudes as null."""
+
+    TWINS = {
+        "fermion36": StateFile("fermion", FermionState(3, 6, {(1, 2, 3): 1.0, (4, 5, 6): 1.0})),
+        "fermion24": StateFile("fermion", FermionState(2, 4, {(1, 2): 1.0, (3, 4): 1.0})),
+        "multi3": StateFile(
+            "multi",
+            MultiState(SystemShape(((1, 2),) * 3), {((1,),) * 3: 1.0, ((2,),) * 3: 1.0}),
+        ),
+    }
+
+    @staticmethod
+    def payload(capsys, path, *argv):
+        code, out, _ = run_cli(capsys, *argv, str(path), "--json")
+        assert code == 0, argv
+        assert "NaN" not in out and "Infinity" not in out, argv
+        return json.loads(out)
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_reports_match_the_normalized_twin(self, capsys, tmp_path, name):
+        twin = self.TWINS[name]
+        paths = {}
+        for label, scale in (("big", 1e200), ("twin", 1.0 / SQRT2)):
+            paths[label] = tmp_path / f"{label}.json"
+            paths[label].write_text(dump_state_text(StateFile(twin.system, scale * twin.state)))
+        big = self.payload(capsys, paths["big"], "pluecker", "--list-violations")
+        unit = self.payload(capsys, paths["twin"], "pluecker", "--list-violations")
+        assert big["max_relation"] is big["violation_cutoff"] is None
+        assert unit["max_relation"] == pytest.approx(0.5)
+        for key in ("decomposable", "argmax_pair"):
+            assert big[key] == unit[key]
+        assert [(v["fixed"], v["moving"]) for v in big["violations"]] == [
+            (v["fixed"], v["moving"]) for v in unit["violations"]
+        ]
+        assert all(v["magnitude"] is None for v in big["violations"])
+        plain = self.payload(capsys, paths["big"], "pluecker")
+        assert plain == {key: big[key] for key in plain}
+        code, out, _ = run_cli(capsys, "pluecker", str(paths["big"]), "--list-violations")
+        assert code == 0 and "decomposable: no" in out
+        big, unit = (self.payload(capsys, paths[label], "rdm") for label in ("big", "twin"))
+        assert big.keys() == unit.keys() and big["system"] == unit["system"]
+        for key in unit.keys() - {"system"}:
+            assert np.allclose(big[key], unit[key], rtol=0.0, atol=1e-15), key
+
+
 class TestCliAct:
     def test_swap_preserves_class(self, capsys, tmp_path):
         matrix_file = tmp_path / "swap.json"
@@ -634,8 +682,8 @@ class TestOversizedShapes:
 
     def test_table_budget(self, capsys, tmp_path):
         # Within MAX_DIMENSION, every file classifies; past MAX_TABLE_ENTRIES,
-        # pluecker refuses its scan tables (1.18e9 entries at (8, 16)) and
-        # the wedge power of the (4, 20) image is omitted.
+        # pluecker refuses its relation array (1.3e8 relations at (8, 16))
+        # and the wedge power of the (4, 20) image is omitted.
         files = {}
         for name, system, shape in (
             ("f8_16", "fermion", "8,16"),
