@@ -45,17 +45,20 @@ from .embed import (
     _BOSON2Q_WEIGHTS,
     _BOSON3_WEIGHTS,
     _PAIR_SLOTS,
+    Cut,
     MultiState,
     SystemShape,
-    _flattening,
-    _is_rank_one,
+    _cutoff,
+    _factoring,
+    _species_plan,
+    _union_ratio,
     _unpack_antisymmetric_pair,
     bipartitions,
     boson2q_to_freudenthal,
     boson2q_to_three_qubit,
     boson3_to_boson2q,
     boson3_to_freudenthal,
-    factors_across_cut,
+    factors_across_cut,  # noqa: F401  (perfbench/tracing.py wraps it here)
     merge_species,
     multistate_from_tensor,
     pack_antisymmetric_pair,
@@ -73,7 +76,7 @@ from .fermion import (
     _hitchin_trace,
     apply_matrix,
     decomposability_ratio,
-    is_decomposable,
+    is_decomposable,  # noqa: F401  (perfbench/tracing.py wraps it here)
     pluecker_scan,  # noqa: F401  (perfbench/tracing.py wraps it here)
     to_freudenthal,
     wedge_power_norm,
@@ -111,9 +114,6 @@ _SINGULAR_TOL = 1e-12
 
 class DegeneracyWarning(UserWarning):
     """A classification decision fell within a factor of ten of its tolerance."""
-
-
-Cut = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,15 +382,11 @@ def _warn_if_close(ratios, what: str) -> None:
 
 def _tensor_cuts(spec: System, arr: np.ndarray, tol: float) -> tuple[Cut, ...]:
     """The bipartitions of the factors (axes of the canonical array) whose
-    flattening passes _is_rank_one against tol times the squared norm in
-    the system's convention, on the array exactly rescaled by _binary_scaled."""
+    flattening passes embed._is_rank_one against tol times the squared norm
+    in the system's convention, on the array exactly rescaled by
+    _binary_scaled: one embed._spectra call for all of them."""
     arr = _binary_scaled(arr)
-    cutoff = tol * spec.norm_sq(arr)
-    return tuple(
-        (left, right)
-        for left, right in bipartitions(arr.ndim)
-        if _is_rank_one(_flattening(arr, left, right), cutoff)
-    )
+    return _factoring(arr, bipartitions(arr.ndim), tol * spec.norm_sq(arr))
 
 
 def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
@@ -431,20 +427,35 @@ def _classify_fermion_general(state: FermionState, tol: float) -> ClassLabel:
 
 
 def _classify_multi(psi: MultiState, tol: float) -> ClassLabel:
+    """The merged (embedding) state's decomposability and the factoring
+    cuts, both read off the native tensor exactly rescaled by _binary_scaled.
+
+    A one-body operator between two species changes both species' particle
+    numbers, so M^H M for the merged lift M is block-diagonal by species and
+    the merged lift's singular values are the union of each species' own
+    lift spectrum (embed._union_ratio): the ratio of
+    ``decomposability_ratio(merge_species(psi))`` without the merged state.
+    For a species of degree j_i = 1 (a qubit or qudit on the particle side)
+    that lift is the transposed (i | rest) flattening, so the same stacked
+    SVD also gives its single-species cut.  Only a state that is not
+    separable scans the cuts, the remaining flattenings grouped by shape
+    (embed._factoring); the merged state is built only for
+    ``wedge_power_norm`` (K even, N % K == 0)."""
     if psi.is_zero():
         raise ValueError("cannot classify the zero state")
-    merged = merge_species(psi)
-    report = _general_report(merged)
-    if is_decomposable(merged, tol=tol):
+    plan = _species_plan(psi.shape)
+    tensor = _binary_scaled(psi._array)
+    ratio, own = _union_ratio(tensor, plan, tol)
+    report = _general_report(merge_species(psi)) if plan.wedge else {}
+    if ratio <= 1.0:
         return ClassLabel(rank=None, name="separable", invariants_report=report)
-    cuts = tuple(
-        bp for bp in bipartitions(psi.shape.num_species) if factors_across_cut(psi, bp[0], tol)
+    cuts = _factoring(tensor, plan.cuts, _cutoff(tensor, tol), own)
+    return ClassLabel(
+        rank=None,
+        name="biseparable" if cuts else "entangled",
+        cut_pattern=cuts,
+        invariants_report=report,
     )
-    if cuts:
-        return ClassLabel(
-            rank=None, name="biseparable", cut_pattern=cuts, invariants_report=report
-        )
-    return ClassLabel(rank=None, name="entangled", invariants_report=report)
 
 
 def classify_state(system: str, state, tol: float = DEFAULT_TOL) -> ClassLabel:

@@ -10,12 +10,20 @@ keys of species i, and ``merge_species`` maps it isometrically into the
 species' modes past the previous blocks, one scatter of the tensor.  A
 state is a tensor product of per-species decomposable factors exactly
 when its merged image is decomposable (by the rank of its lift, or the
-paper's Plücker relations): ``separability_via_embedding``.  One
-rank-one test of a flattening of the dense tensor decides every
-one-vs-rest cut of all-qubit shapes (``qubit_separability_direct``) and
-any grouping of the species (``factors_across_cut``).  The one-particle
-reduced density matrix of the merged state is the weighted direct sum of
-the per-species ones (``embedded_rdm_blocks`` / ``rdm_direct_sum``).
+paper's Plücker relations): ``separability_via_embedding``.  That test
+needs no merged state: a one-body operator between two species changes
+both species' particle numbers, so the merged occupation matrix, and with
+it M^H M for the merged lift M, is block-diagonal by species, and the
+merged lift's singular values are the union of each species' own lift
+spectrum on the native tensor (``_union_ratio``, which the classifier
+uses).  One kernel, ``_spectra``, takes the singular values of a list of
+matrices with one stacked SVD per shape; the rank-one test of each
+flattening of the dense tensor is read off them, for every one-vs-rest
+cut of all-qubit shapes (``qubit_separability_direct``), any grouping of
+the species (``factors_across_cut``) and the classifier's cut scan, at
+most MAX_CUTS cuts.  The one-particle reduced density matrix of the
+merged state is the weighted direct sum of the per-species ones
+(``embedded_rdm_blocks`` / ``rdm_direct_sum``).
 
 The specific layer maps the four distinguishable-constituent systems tied
 to the triple-system classification — three qubits, a qubit with two
@@ -58,6 +66,7 @@ from .fermion import (
     _key_position,
     _ArrayState,
     _lex_rank,
+    _lift,
     _rdm_numerator,
     _signed_gather,
     _signed_table,
@@ -68,9 +77,10 @@ from .fermion import (
     sort_sign,
 )
 from .jordan import AlgebraKind
-from .triple import FreudenthalVector
+from .triple import FreudenthalVector, _binary_scaled
 
 __all__ = [
+    "MAX_CUTS",
     "SystemShape",
     "MultiState",
     "NormalizationWarning",
@@ -98,6 +108,13 @@ __all__ = [
 
 LocalKey = tuple[int, ...]
 MultiKey = tuple[LocalKey, ...]
+Cut = tuple[tuple[int, ...], tuple[int, ...]]
+
+# Most bipartitions a cut scan may test: N species have 2^(N-1) - 1, so
+# twelve species (2047 cuts) fit and thirteen do not.  Species of shape
+# (1, 1) have dimension 1 and pass MAX_DIMENSION at any count; this bounds
+# their scan.
+MAX_CUTS = 2**11 - 1
 
 
 class NormalizationWarning(UserWarning):
@@ -301,39 +318,83 @@ def separability_via_embedding(psi: MultiState, tol: float = DEFAULT_TOL) -> boo
     return is_decomposable(merge_species(psi), tol)
 
 
-def _is_rank_one(matrix: np.ndarray, cutoff: float) -> bool:
-    """Rank-one test of a d_L x d_R flattening: sigma_1 sigma_2 <= cutoff
-    (true when min(d_L, d_R) < 2).  The 2 x 2 minors are the entries of the
-    second compound, whose norm is sigma_1 sigma_2, so max|2x2 minor| <=
-    sigma_1 sigma_2 <= sqrt(C(d_L, 2) C(d_R, 2)) max|2x2 minor|: against
-    tol * ||psi||^2 this is never looser than the minors' (Plücker) test."""
-    if min(matrix.shape) < 2:
-        return True
-    sing = np.linalg.svd(matrix, compute_uv=False)
-    return bool(sing[0] * sing[1] <= cutoff)
+def _spectra(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The singular values, descending, of each matrix: each is oriented
+    with rows <= columns, and those of one shape share one stacked
+    ``np.linalg.svd(..., compute_uv=False)``.  Every rank-one test of a cut
+    and every species' lift spectrum in ``_union_ratio`` is read from here."""
+    groups: dict[tuple[int, ...], tuple[list[int], list[np.ndarray]]] = {}
+    for i, m in enumerate(matrices):
+        if m.shape[0] > m.shape[1]:
+            m = m.T
+        members, stack = groups.setdefault(m.shape, ([], []))
+        members.append(i)
+        stack.append(m)
+    out: list[np.ndarray] = [None] * len(matrices)
+    for members, stack in groups.values():
+        for i, sing in zip(members, np.linalg.svd(np.array(stack), compute_uv=False)):
+            out[i] = sing
+    return out
+
+
+def _is_rank_one(sing: np.ndarray, cutoff: float) -> bool:
+    """Rank-one test of a d_L x d_R flattening from its singular values
+    (``_spectra``): sigma_1 sigma_2 <= cutoff (true when min(d_L, d_R) < 2).
+    The 2 x 2 minors are the entries of the second compound, whose norm is
+    sigma_1 sigma_2, so max|2x2 minor| <= sigma_1 sigma_2 <=
+    sqrt(C(d_L, 2) C(d_R, 2)) max|2x2 minor|: against tol * ||psi||^2 this
+    is never looser than the minors' (Plücker) test."""
+    return len(sing) < 2 or bool(sing[0] * sing[1] <= cutoff)
+
+
+def _factoring(
+    tensor: np.ndarray,
+    cuts: Sequence[Cut],
+    cutoff: float,
+    known: Mapping[Cut, np.ndarray] | None = None,
+) -> tuple[Cut, ...]:
+    """The cuts (left, right), in the order of ``cuts``, across which
+    ``tensor`` has rank one by _is_rank_one: each flattening's spectrum is
+    taken from ``known`` where it is there and from one _spectra call
+    otherwise."""
+    spectra = dict(known or {})
+    missing = [cut for cut in cuts if cut not in spectra]
+    spectra.update(zip(missing, _spectra([_flattening(tensor, *cut) for cut in missing])))
+    return tuple(cut for cut in cuts if _is_rank_one(spectra[cut], cutoff))
+
+
+def _cutoff(tensor: np.ndarray, tol: float) -> float:
+    """tol * ||tensor||^2, the threshold of every cut test of a tensor."""
+    return tol * np.vdot(tensor, tensor).real
 
 
 def qubit_separability_direct(psi: MultiState, tol: float = DEFAULT_TOL) -> bool:
     """Separability for all-qubit shapes straight from the amplitudes: every
     one-vs-rest flattening (qubit j against the rest) passes _is_rank_one
-    against tol * ||psi||^2.  Must agree with the embedding route."""
+    against tol * ||psi||^2, on psi divided exactly by a power of two
+    (``triple._binary_scaled``).  Must agree with the embedding route."""
     if any(sp != (1, 2) for sp in psi.shape.species):
         raise ShapeError("the direct criterion applies to qubit shapes only")
     if psi.is_zero():
         raise ValueError("zero state has no separability verdict")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    tensor = tensor_from_multistate(psi)
-    cutoff = tol * np.vdot(tensor, tensor).real
-    return all(
-        _is_rank_one(np.moveaxis(tensor, j, 0).reshape(2, -1), cutoff)
-        for j in range(tensor.ndim)
-    )
+    tensor = _binary_scaled(psi._array)
+    species = range(1, tensor.ndim + 1)
+    cuts = [((j,), tuple(i for i in species if i != j)) for j in species]
+    return len(_factoring(tensor, cuts, _cutoff(tensor, tol))) == len(cuts)
 
 
-def bipartitions(num_species: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def bipartitions(num_species: int) -> list[Cut]:
     """All proper two-block partitions of species 1..N, each as
-    (smaller-or-lexicographically-first side, complement)."""
+    (smaller-or-lexicographically-first side, complement): 2^(N-1) - 1 of
+    them, at most MAX_CUTS (ShapeError before any is built)."""
+    count = 2 ** (num_species - 1) - 1
+    if count > MAX_CUTS:
+        raise ShapeError(
+            f"{num_species} species have {count} bipartitions, "
+            f"more than MAX_CUTS = {MAX_CUTS}"
+        )
     species = tuple(range(1, num_species + 1))
     out = []
     for size in range(1, num_species // 2 + 1):
@@ -351,7 +412,7 @@ def factors_across_cut(
     """True iff psi factors as (state of the `left` species) tensor (state
     of the rest), with both factors arbitrary — entangled factors allowed:
     the flattening with the `left` axes as rows passes _is_rank_one
-    against tol * ||psi||^2."""
+    against tol * ||psi||^2, on psi divided exactly by a power of two."""
     if psi.is_zero():
         raise ValueError("zero state has no factorization verdict")
     left = tuple(sorted(set(int(i) for i in left)))
@@ -364,10 +425,8 @@ def factors_across_cut(
         raise ShapeError("cut must leave at least one species on each side")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    tensor = tensor_from_multistate(psi)
-    return _is_rank_one(
-        _flattening(tensor, left, right), tol * np.vdot(tensor, tensor).real
-    )
+    tensor = _binary_scaled(psi._array)
+    return bool(_factoring(tensor, [(left, right)], _cutoff(tensor, tol)))
 
 
 def _flattening(
@@ -377,6 +436,78 @@ def _flattening(
     rows and the ``right`` axes as columns."""
     rows = math.prod(tensor.shape[i - 1] for i in left)
     return tensor.transpose([i - 1 for i in left + right]).reshape(rows, -1)
+
+
+# -- the merged test on the native tensor --------------------------------------
+
+
+@dataclass(frozen=True)
+class _SpeciesPlan:
+    """How the merged decomposability test and the cut scan read the native
+    tensor of one shape.  ``holes``: the merged test reads the Hodge dual
+    (N < 2K < 2N), so every species axis is reversed; ``degree`` is the
+    degree j of the form it decides (K, or N - K on holes) and ``degrees``
+    the j_i per species; ``cuts`` are the bipartitions; ``own`` maps each
+    cut with a species of j_i = 1 alone on one side to that species' axis,
+    whose lift is the transposed flattening of the cut; ``wedge`` says
+    whether ``wedge_power_norm`` applies (K even, N % K == 0)."""
+
+    species: tuple[tuple[int, int], ...]
+    holes: bool
+    degree: int
+    degrees: tuple[int, ...]
+    cuts: tuple[Cut, ...]
+    own: tuple[tuple[Cut, int], ...]
+    wedge: bool
+
+
+@lru_cache(maxsize=32)
+def _species_plan(shape: SystemShape) -> _SpeciesPlan:
+    k, n = shape.total_particles, shape.total_modes
+    holes = n < 2 * k < 2 * n
+    degrees = tuple(n_i - k_i if holes else k_i for k_i, n_i in shape.species)
+    cuts = tuple(bipartitions(shape.num_species))
+    own: dict[Cut, int] = {}
+    for cut in cuts:
+        for side in cut:
+            if len(side) == 1 and degrees[side[0] - 1] == 1:
+                own.setdefault(cut, side[0] - 1)
+    return _SpeciesPlan(
+        shape.species, holes, n - k if holes else k, degrees, cuts,
+        tuple(own.items()), k % 2 == 0 and n % k == 0,
+    )
+
+
+def _union_ratio(
+    tensor: np.ndarray, plan: _SpeciesPlan, tol: float
+) -> tuple[float, dict[Cut, np.ndarray]]:
+    """``decomposability_ratio`` of the merged image of the nonzero species
+    tensor ``tensor``, without building it, and the spectra of the cuts in
+    ``plan.own``.  By the block-diagonal argument of the module docstring
+    the merged lift's singular values are the union of the species' own
+    lifts' (``fermion._lift`` of species axis i, the other axes as extra
+    rows: C(n_i, j_i - 1) R_i x n_i), all from one _spectra call.  The
+    merged Hodge dual is the merge of the species' duals, each axis
+    reversed.  A species with j_i = 0 contributes n_i zeros, and one with
+    j_i = 1 has the transposed (i | rest) flattening as its lift.  The ratio
+    is s_j / (tol s_0) over the sorted union, zero-padded to N values."""
+    if plan.holes:
+        tensor = tensor[(slice(None, None, -1),) * tensor.ndim]
+    axes, matrices = [], []
+    for axis, (j, (_, n)) in enumerate(zip(plan.degrees, plan.species)):
+        if j == 0:
+            continue
+        rest = tuple(i for i in range(1, tensor.ndim + 1) if i != axis + 1)
+        columns = _flattening(tensor, (axis + 1,), rest)
+        if j > 1:
+            columns = _lift(columns, j, n).transpose(0, 2, 1).reshape(-1, n)
+        axes.append(axis)
+        matrices.append(columns)
+    spectra = dict(zip(axes, _spectra(matrices)))
+    union = np.sort(np.concatenate(list(spectra.values())))[::-1]
+    j = plan.degree
+    ratio = float(union[j] / (tol * union[0])) if len(union) > j else 0.0
+    return ratio, {cut: spectra[axis] for cut, axis in plan.own}
 
 
 # -- reduced density matrices --------------------------------------------------

@@ -351,9 +351,15 @@ def wedge(u: FermionState, v: FermionState) -> FermionState:
     k = u.k + v.k
     if k > u.n:
         raise ShapeError(f"wedge degree {k} exceeds mode count {u.n}")
-    first, second, sign = _shuffle_table(u.k, v.k, u.n)
-    out = (sign * u._array[first] * v._array[second]).sum(axis=1)
-    return FermionState._wrap(k, u.n, out)
+    return FermionState._wrap(k, u.n, _wedge_arrays(u._array, u.k, v._array, v.k, u.n))
+
+
+def _wedge_arrays(u: np.ndarray, j: int, v: np.ndarray, l: int, n: int) -> np.ndarray:
+    """The amplitudes of the exterior product of the j-form u and the
+    l-form v on C^n, unpruned: one gather, product and sum over the rows of
+    _shuffle_table(j, l, n)."""
+    first, second, sign = _shuffle_table(j, l, n)
+    return (sign * u[first] * v[second]).sum(axis=1)
 
 
 def wedge_of_vectors(vectors: np.ndarray) -> FermionState:
@@ -505,7 +511,9 @@ def wedge_power_norm(P: FermionState) -> float:
     magnitude; it vanishes on W-type states and equals d! d^(-d/2) on the
     d-level GHZ images.  For k = 2 it is d! |Pf A| = d! sqrt|det A| for
     A[i, j] = P[i, j] = -A[j, i], in log space (inf past the float range);
-    for k >= 4, the top amplitude of the chain P ^ P ^ ... ^ P.
+    for k >= 4, the top amplitude of the chain P ^ P ^ ... ^ P, run on P
+    divided exactly by 2^e (``triple._binary_exponent``) and scaled back by
+    2^(d e): inf past the float range, never nan.
     """
     if P.k % 2 != 0:
         raise ShapeError("wedge powers of odd-degree states anticommute to zero")
@@ -522,10 +530,11 @@ def wedge_power_norm(P: FermionState) -> float:
         max(math.comb(P.n, m * P.k) * math.comb(m * P.k, P.k) for m in range(2, d + 1)),
         f"the wedge power's index table at shape ({P.k}, {P.n})",
     )
-    power = P
-    for _ in range(d - 1):
-        power = wedge(power, P)
-    return abs(complex(power._array[0]))  # the top form's one amplitude
+    e = _binary_exponent(P._array)
+    scaled = power = P._array / math.ldexp(1.0, e)
+    for m in range(1, d):  # power = scaled^(m + 1), pruned as ``wedge`` prunes
+        power = _store(_wedge_arrays(power, m * P.k, scaled, P.k, P.n), PRUNE_TOL)
+    return _ldexp(abs(complex(power[0])), d * e)  # the top form's one amplitude
 
 
 # -- Hitchin's invariant -------------------------------------------------------

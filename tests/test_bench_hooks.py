@@ -1,7 +1,8 @@
 """The benchmark's spans keep measuring: every function perfbench/tracing.py
 wraps still exists under the name it wraps, and the classifier and the
-embedding-route invariant reach the wrapped Freudenthal images, rank test,
-decomposability test and cut tests through those names."""
+embedding-route invariant reach the wrapped Freudenthal images and rank
+test through those names; a multi verdict reaches only the merged state's
+wedge-power invariant, where it applies."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from freudenthal.classify import RANKED_SYSTEMS, random_state
-from freudenthal.embed import bipartitions, multistate_from_tensor
+from freudenthal.embed import multistate_from_tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,9 +60,12 @@ def test_classify_reaches_wrapped_image_and_rank(tracing, monkeypatch, system):
     assert images == (0 if system == "fermion" else 1)
 
 
-def test_multi_reaches_wrapped_decision_and_every_cut(tracing, monkeypatch):
+def test_multi_is_decided_on_its_native_tensor(tracing, monkeypatch):
     # Two random qubit pairs side by side: biseparable across ((1, 2), (3, 4))
-    # only, so the classifier tests decomposability once and every cut.
+    # only.  The verdict and every cut come from the native tensor, so
+    # neither the merged decomposability test nor the per-cut test is
+    # called; the merged state is built once, and only because
+    # wedge_power_norm applies (K = 4 is even and N = 8 = 2K).
     rng = np.random.default_rng(12)
     pairs = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     tensor = np.multiply.outer(pairs[0], pairs[1])
@@ -70,10 +74,16 @@ def test_multi_reaches_wrapped_decision_and_every_cut(tracing, monkeypatch):
     cli = importlib.import_module("freudenthal.cli")
     tracer.take()
     label = cli.classify_state("multi", psi)
-    spans = tracer.take()
-    names = [span[tracing.NAME] for span in spans]
+    names = [span[tracing.NAME] for span in tracer.take()]
     assert label.name == "biseparable"
-    assert names.count("fermion.is_decomposable") == 1
-    cuts = [s[tracing.INFO] for s in spans if s[tracing.NAME] == "embed.factors_across_cut"]
-    assert cuts == [bp in label.cut_pattern for bp in bipartitions(4)]
     assert label.cut_pattern == (((1, 2), (3, 4)),)
+    assert names.count("fermion.is_decomposable") == 0
+    assert names.count("embed.factors_across_cut") == 0
+    assert names.count("embed.merge_species") == 1
+    assert names.count("fermion.wedge_power_norm") == 1
+    # Three qubits (K = 3 is odd) build no merged state at all.
+    three = np.multiply.outer(pairs[0], np.ones(2))
+    three = multistate_from_tensor(three / np.linalg.norm(three))
+    tracer.take()
+    assert cli.classify_state("multi", three).cut_pattern == (((3,), (1, 2)),)
+    assert "embed.merge_species" not in [span[tracing.NAME] for span in tracer.take()]

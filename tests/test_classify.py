@@ -28,7 +28,10 @@ from freudenthal.classify import _act_on_species
 from freudenthal.embed import (
     MultiState,
     SystemShape,
+    bipartitions,
+    factors_across_cut,
     merge_species,
+    qubit_separability_direct,
     species_rdm,
     three_qubit_to_fermion,
     three_qubit_to_qubit_fermion4,
@@ -376,6 +379,41 @@ class TestScaleSafety:
                     assert tangle == embedded == 0.0, where
                 else:
                     assert tangle == embedded == math.inf, where
+
+    @staticmethod
+    def _multi_representatives():
+        """A product, a state split across ((1,), rest) and a GHZ state of
+        three qubits, four qubits and a qubit, a pair in four modes and a
+        qutrit: (state, expected name, expected cuts)."""
+        for species in (((1, 2),) * 3, ((1, 2),) * 4, ((1, 2), (2, 4), (1, 3))):
+            shape = SystemShape(species)
+            first = tuple(tuple(range(1, k + 1)) for k, _ in species)
+            last = tuple(tuple(range(n - k + 1, n + 1)) for k, n in species)
+            rest = tuple(range(2, len(species) + 1))
+            yield MultiState(shape, {first: 1.0}), "separable", ()
+            split = MultiState(shape, {first: 1 / SQRT2, first[:1] + last[1:]: 1 / SQRT2})
+            yield split, "biseparable", (((1,), rest),)
+            yield MultiState(shape, {first: 1 / SQRT2, last: 1 / SQRT2}), "entangled", ()
+
+    def test_multi_verdicts_and_cuts_at_any_scale(self):
+        # tol * ||psi||^2 under- and overflows at these scales; the verdict,
+        # the cuts and each cut test read psi divided by a power of two.
+        for psi, name, cuts in self._multi_representatives():
+            label = classify_state("multi", psi)
+            assert (label.name, label.cut_pattern) == (name, cuts)
+            lefts = [left for left, _ in bipartitions(psi.shape.num_species)]
+            factors = [factors_across_cut(psi, left) for left in lefts]
+            qubits = set(psi.shape.species) == {(1, 2)}
+            for scale in (1e-170, 1e-100, 1e100, 1e160, 1e300):
+                scaled = scale * psi
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = classify_state("multi", scaled)
+                where = (psi.shape.species, name, scale)
+                assert (got.name, got.cut_pattern) == (name, cuts), where
+                assert [factors_across_cut(scaled, left) for left in lefts] == factors, where
+                if qubits:
+                    assert qubit_separability_direct(scaled) == (name == "separable"), where
 
 
 class TestSplitting:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freudenthal.classify import (
     SYSTEM_TABLE,
     _tensor_cuts,
+    classify_state,
     random_group_element,
     random_state,
     slocc_act,
@@ -20,6 +21,8 @@ from freudenthal.embed import (
     MultiState,
     NormalizationWarning,
     SystemShape,
+    _species_plan,
+    _union_ratio,
     bipartitions,
     boson2q_to_freudenthal,
     boson2q_to_three_qubit,
@@ -45,7 +48,9 @@ from freudenthal.fermion import (
     FermionState,
     ShapeError,
     apply_matrix,
+    decomposability_ratio,
     from_freudenthal,
+    is_decomposable,
     one_particle_rdm,
     pluecker_scan,
     to_freudenthal,
@@ -53,7 +58,7 @@ from freudenthal.fermion import (
 )
 from freudenthal.jordan import j3
 from freudenthal.representatives import all_representatives
-from freudenthal.triple import FreudenthalVector, quartic_tangle, rank
+from freudenthal.triple import FreudenthalVector, _binary_scaled, quartic_tangle, rank
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -463,6 +468,76 @@ class TestCutKernelParity:
                         assert near, (shape, left, worst, product)
                         assert worst <= cutoff < product, (shape, left, worst, product)
         assert verdicts == {True, False}
+
+
+def _merged_route(psi: MultiState, tol: float = 1e-8):
+    """The verdict classify_state gave multi before it read the native
+    tensor, kept as the reference: the lift rank of the merged state, then
+    one SVD per cut flattening against tol * ||psi||^2."""
+    if is_decomposable(merge_species(psi), tol):
+        return "separable", ()
+    tensor = tensor_from_multistate(psi)
+    cuts = []
+    for left, right in bipartitions(psi.shape.num_species):
+        rows = math.prod(tensor.shape[i - 1] for i in left)
+        matrix = tensor.transpose([i - 1 for i in left + right]).reshape(rows, -1)
+        sing = np.linalg.svd(matrix, compute_uv=False)
+        if len(sing) < 2 or sing[0] * sing[1] <= tol * psi.norm() ** 2:
+            cuts.append((left, right))
+    return ("biseparable" if cuts else "entangled"), tuple(cuts)
+
+
+class TestSpeciesSpectrumUnion:
+    """The merged lift's singular values as the union of the species'
+    lift spectra on the native tensor (embed._union_ratio), against
+    decomposability_ratio of the merged state, and classify_state's
+    verdicts and cut patterns against the merged route."""
+
+    SHAPES = [
+        ((1, 2),) * 3,
+        ((1, 2),) * 5,
+        ((1, 2),) * 9,
+        ((1, 2), (2, 4), (1, 3)),
+        ((2, 5), (3, 5)),
+        ((3, 4), (2, 3)),  # N < 2K < 2N: the Hodge duals decide
+        ((1, 2), (2, 2)),  # holes, and a full species contributes zeros
+        ((3, 3), (1, 2), (1, 2)),
+        ((3, 5),),  # a single species, on the hole side
+    ]
+
+    @staticmethod
+    def _states(shape: SystemShape, rng):
+        """(state, generic?) pairs: a state is generic when its s_j is no
+        roundoff, so the two ratios must agree to relative roundoff."""
+        cuts = bipartitions(shape.num_species)
+        count = 1 if shape.num_species == 9 else 3
+        for _ in range(count):
+            yield random_multistate(shape, rng), True
+            yield random_product_state(shape, rng), False
+            if cuts:
+                yield _split_state(shape, cuts[int(rng.integers(len(cuts)))][0], rng), False
+        product, generic = random_product_state(shape, rng), random_multistate(shape, rng)
+        for eps in (1e-11, 1e-5):
+            psi = product + eps * generic
+            yield (1.0 / psi.norm()) * psi, False
+
+    def test_ratio_verdict_and_cuts_match_the_merged_route(self, rng):
+        sides, names = set(), set()
+        for species in self.SHAPES:
+            shape = SystemShape(species)
+            plan = _species_plan(shape)
+            sides.add(plan.holes)
+            for psi, generic in self._states(shape, rng):
+                want = decomposability_ratio(merge_species(psi))
+                got, _ = _union_ratio(_binary_scaled(psi._array), plan, 1e-8)
+                if generic:
+                    assert abs(got - want) <= 1e-12 * want, (species, got, want)
+                assert (got <= 1.0) == (want <= 1.0), (species, got, want)
+                label = classify_state("multi", psi)
+                assert (label.name, label.cut_pattern) == _merged_route(psi), species
+                names.add(label.name)
+        assert sides == {True, False}
+        assert names == {"separable", "biseparable", "entangled"}
 
 
 class TestReducedDensityMatrices:

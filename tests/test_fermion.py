@@ -298,6 +298,27 @@ class TestWedgePower:
         P = random_state(2, 6, rng)
         assert wedge_power_norm(3.0 * P) == pytest.approx(27 * wedge_power_norm(P))
 
+    def test_chain_is_exactly_rescaled(self, rng):
+        # The k >= 4 chain runs on P / 2^e: a small state's products are
+        # not pruned at PRUNE_TOL, and past the float range the value is
+        # inf rather than an overflow (RuntimeWarnings fail the suite).
+        P = random_state(4, 8, rng)
+        value = wedge_power_norm(P)
+        assert value > 0.0
+        assert wedge_power_norm(2.0**-300 * P) == math.ldexp(value, -600)
+        assert wedge_power_norm(1e-100 * P) == pytest.approx(1e-200 * value, rel=1e-12)
+        assert wedge_power_norm(1e200 * P) == math.inf
+        ghz = FermionState(4, 8, {(1, 2, 3, 4): 1 / SQRT2, (5, 6, 7, 8): 1 / SQRT2})
+        assert wedge_power_norm(1e-100 * ghz) == pytest.approx(1e-200)
+        assert wedge_power_norm(1e160 * ghz) == math.inf
+        four_qubits = MultiState(
+            SystemShape(((1, 2),) * 4), {((1,),) * 4: 1 / SQRT2, ((2,),) * 4: 1 / SQRT2}
+        )
+        for system, state in (("fermion", P), ("multi", four_qubits)):
+            label = classify_state(system, 1e200 * state)
+            assert label.name == "entangled"
+            assert label.invariants_report["wedge_power_norm"] == math.inf
+
     def test_shape_preconditions(self):
         with pytest.raises(ShapeError):
             wedge_power_norm(ghz6())  # odd degree

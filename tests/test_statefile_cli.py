@@ -11,7 +11,7 @@ import pytest
 
 from freudenthal.classify import random_state
 from freudenthal.cli import main
-from freudenthal.embed import MultiState, SystemShape
+from freudenthal.embed import MAX_CUTS, MultiState, SystemShape, bipartitions
 from freudenthal.fermion import FermionState, ShapeError, wedge_of_vectors
 from freudenthal.representatives import all_representatives
 from freudenthal.statefile import (
@@ -710,6 +710,35 @@ class TestOversizedShapes:
         code, out, err = run_cli(capsys, "pluecker", files["f8_16"])
         assert (code, out) == (3, "")
         assert "MAX_TABLE_ENTRIES" in err
+
+    def test_cut_budget(self, capsys, tmp_path):
+        # A (1, 1) species has dimension 1, so a Bell pair beside sixteen of
+        # them passes MAX_DIMENSION, but not its 2^17 - 1 = 131 071 cuts.
+        for extra, code_wanted in ((16, 3), (10, 0)):
+            path = tmp_path / f"bell_{extra}.json"
+            path.write_text(json.dumps({
+                "system": "multi",
+                "shape": [[1, 2], [1, 2]] + [[1, 1]] * extra,
+                "amplitudes": [
+                    {"key": [[b], [b]] + [[1]] * extra, "re": 0.5**0.5, "im": 0.0}
+                    for b in (1, 2)
+                ],
+            }))
+            code, out, err = run_cli(capsys, "classify", str(path))
+            assert code == code_wanted, extra
+            if code == 3:
+                assert out == "" and "MAX_CUTS" in err
+            else:
+                assert out.startswith("class: biseparable")
+        # Twelve species make 2047 cuts, the most that fit; nine qubits 255.
+        assert len(bipartitions(12)) == MAX_CUTS == 2047
+        with pytest.raises(ShapeError, match="MAX_CUTS"):
+            bipartitions(13)
+        nine = str(tmp_path / "nine.json")
+        assert run_cli(capsys, "random", "--system", "multi", "--shape",
+                       ";".join(["1,2"] * 9), "--seed", "4", "-o", nine)[0] == 0
+        code, out, _ = run_cli(capsys, "classify", nine)
+        assert (code, out) == (0, "class: entangled\n")
 
     def test_random_and_multi_shapes(self, capsys):
         # Past the cap: C(19, 9) = 92 378, and fifteen qubits, whose 2^15
