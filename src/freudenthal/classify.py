@@ -48,12 +48,12 @@ from .embed import (
     Cut,
     MultiState,
     SystemShape,
+    _cut_list,
     _cutoff,
     _factoring,
     _species_plan,
     _union_ratio,
     _unpack_antisymmetric_pair,
-    bipartitions,
     boson2q_to_freudenthal,
     boson2q_to_three_qubit,
     boson3_to_boson2q,
@@ -84,7 +84,7 @@ from .fermion import (
 from .triple import (
     FreudenthalVector,
     _binary_scaled,
-    _exact_quartic,
+    _homogeneous,
     quartic_tangle,
     rank_margins,
 )
@@ -241,12 +241,21 @@ class ClassLabel:
         }
 
 
+def _is_singular(matrix: np.ndarray) -> bool:
+    """|det(matrix / 2^e)| <= _SINGULAR_TOL, for the power of two 2^e that
+    puts the largest real or imaginary part of the matrix in [1, 2): a test
+    of degree 0, which no rescaling of the matrix changes."""
+    return abs(complex(np.linalg.det(_binary_scaled(matrix)))) <= _SINGULAR_TOL
+
+
 class GroupElement:
     """An invertible matrix per distinguishable factor of a system.
 
     A single matrix acts on a plain fermionic state through its k-fold
     compound; for composite systems each matrix acts on its own factor
     (bosonic factors receive one matrix applied to every symmetric slot).
+    A matrix is refused as singular by ``_is_singular``; ``determinants``
+    holds the determinants of the matrices as given.
     """
 
     __slots__ = ("matrices", "determinants")
@@ -260,11 +269,10 @@ class GroupElement:
                 raise ShapeError(f"group element matrices must be square, got {arr.shape}")
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError("group element matrix has non-finite entries")
-            det = complex(np.linalg.det(arr))
-            if abs(det) <= _SINGULAR_TOL:
+            if _is_singular(arr):
                 raise ValueError("group element matrix is singular")
             mats.append(arr)
-            dets.append(det)
+            dets.append(complex(np.linalg.det(arr)))
         if not mats:
             raise ValueError("group element needs at least one matrix")
         self.matrices = tuple(mats)
@@ -291,7 +299,7 @@ def three_tangle(amplitudes: np.ndarray) -> float:
     arr = np.asarray(amplitudes, dtype=complex)
     if arr.shape != (2, 2, 2):
         raise ShapeError(f"expected shape (2, 2, 2), got {arr.shape}")
-    return _exact_quartic(_qubit3_tangle, arr)
+    return _homogeneous(_qubit3_tangle, (arr,), (4,))
 
 
 def _det2(m) -> complex:
@@ -333,7 +341,7 @@ def invariant_for(system: str, state) -> float:
     ``invariant_via_embedding`` computes the same quantity along a route
     that shares no formula with this one.  Each polynomial, like the quartic
     on the other route, is evaluated on the amplitudes divided exactly by a
-    power of two and multiplied back (``_exact_quartic``): 0 where it
+    power of two and multiplied back (``triple._homogeneous``): 0 where it
     vanishes and inf past the float range at any scale, never nan.
     """
     spec = lookup_system(system)
@@ -342,7 +350,7 @@ def invariant_for(system: str, state) -> float:
     state = spec.native(state)
     if spec.tangle is None:
         return _abs_tangle(spec.freudenthal(state))
-    return _exact_quartic(spec.tangle, state)
+    return _homogeneous(spec.tangle, (state,), (4,))
 
 
 def invariant_via_embedding(system: str, state) -> float:
@@ -386,7 +394,7 @@ def _tensor_cuts(spec: System, arr: np.ndarray, tol: float) -> tuple[Cut, ...]:
     in the system's convention, on the array exactly rescaled by
     _binary_scaled: one embed._spectra call for all of them."""
     arr = _binary_scaled(arr)
-    return _factoring(arr, bipartitions(arr.ndim), tol * spec.norm_sq(arr))
+    return _factoring(arr, _cut_list(arr.ndim), tol * spec.norm_sq(arr))
 
 
 def _classify_ranked(spec: System, state, tol: float) -> ClassLabel:
@@ -567,7 +575,7 @@ def random_group_element(
     """Draw an invertible element of the system's SLOCC group.
 
     Entries are i.i.d. complex standard normal (almost surely invertible;
-    singular draws are rejected and redrawn).  With ``unit_determinant``
+    draws that ``_is_singular`` refuses are redrawn).  With ``unit_determinant``
     each matrix is rescaled onto its special linear group.
     """
     spec = lookup_system(system)
@@ -577,11 +585,10 @@ def random_group_element(
     for n in sizes:
         while True:
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            det = complex(np.linalg.det(m))
-            if abs(det) > _SINGULAR_TOL:
+            if not _is_singular(m):
                 break
         if unit_determinant:
-            m = m / det ** (1.0 / n)
+            m = m / complex(np.linalg.det(m)) ** (1.0 / n)
         mats.append(m)
     return GroupElement(mats)
 
@@ -602,7 +609,7 @@ def _normal_pairs(rng: np.random.Generator, dims: tuple[int, ...]) -> np.ndarray
 
 def _draw_fermion(rng: np.random.Generator, shape) -> FermionState:
     k, n = int(shape[0]), int(shape[1])
-    return FermionState._wrap(k, n, _normal_pairs(rng, (_dimension(k, n),)), 0.0)
+    return FermionState._wrap(k, n, _normal_pairs(rng, (_dimension(k, n),)))
 
 
 def _draw_multi(rng: np.random.Generator, shape) -> MultiState:
@@ -645,7 +652,7 @@ def _abs_tangle(x: FreudenthalVector) -> float:
 
 def _hitchin_tangle(state: FermionState) -> float:
     """(2/3) |Tr K_P^2| = 2 |q| from Hitchin's K_P, exactly rescaled."""
-    return _exact_quartic(lambda p: 2.0 * abs(_hitchin_trace(p)) / 3.0, state._array)
+    return _homogeneous(lambda p: 2.0 * abs(_hitchin_trace(p)) / 3.0, (state._array,), (4,))
 
 
 SYSTEM_TABLE: Mapping[str, System] = {

@@ -10,8 +10,9 @@ Subcommands::
     random               draw a random state file
     selftest             run the built-in cross-check battery
 
-Exit codes: 0 success, 2 parse error, 3 shape/validity error, 4 a
-numerically degenerate verdict was escalated by --strict.  The default
+Exit codes: 0 success, 2 parse error or a file that cannot be read or
+written, 3 shape/validity error, 4 a numerically degenerate verdict was
+escalated by --strict (``_exit_code`` maps each exception to its code).  The default
 tolerance 1e-8 can be overridden per call with --tol or globally with
 the ENTANGLE_TOL environment variable.  Output is deterministic for
 identical inputs and seeds.
@@ -45,7 +46,6 @@ from .embed import MultiState, embedded_rdm_blocks, merge_species, rdm_direct_su
 from .fermion import (
     DEFAULT_TOL,
     FermionState,
-    ShapeError,
     _relation_values,
     _violations,
     _worst_relation,
@@ -55,6 +55,7 @@ from .fermion import (
     wedge_power_norm,
 )
 from .statefile import StateFile, StateParseError, dump_state_text, load_state_file
+from .statefile import _json_payload, _json_text
 from .triple import _binary_scaled
 
 EXIT_OK = 0
@@ -68,6 +69,21 @@ class _Failure(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+# The exceptions that end a command, or one file of a batch, with the exit
+# code _exit_code gives them; any other is a fault of the program and
+# propagates with its traceback.
+_EXPECTED = (_Failure, OSError, ValueError)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of an exception in _EXPECTED."""
+    if isinstance(exc, _Failure):
+        return exc.code
+    if isinstance(exc, (StateParseError, OSError)):
+        return EXIT_PARSE
+    return EXIT_SHAPE  # ShapeError and every other ValueError
 
 
 def _tolerance(args) -> float:
@@ -92,12 +108,8 @@ def _tolerance(args) -> float:
 def _load(path) -> StateFile:
     try:
         return load_state_file(path)
-    except StateParseError as exc:
-        raise _Failure(f"{path}: {exc}", EXIT_PARSE) from None
-    except ShapeError as exc:
-        raise _Failure(f"{path}: {exc}", EXIT_SHAPE) from None
-    except OSError as exc:
-        raise _Failure(f"{path}: {exc}", EXIT_PARSE) from None
+    except (OSError, ValueError) as exc:
+        raise _Failure(f"{path}: {exc}", _exit_code(exc)) from None
 
 
 def _complex_str(value: complex) -> str:
@@ -224,8 +236,8 @@ def _cmd_classify(args) -> int:
         for path in files:
             try:
                 code, lines, payload = _classify_one(path, args, tol)
-            except _Failure as exc:
-                code, lines, payload = exc.code, [f"error: {exc}"], {"error": str(exc)}
+            except _EXPECTED as exc:  # the file's record says why; the batch goes on
+                code, lines, payload = _exit_code(exc), [f"error: {exc}"], {"error": str(exc)}
             worst = max(worst, code)
             records.append({"file": path.name, **payload})
             if not args.json:
@@ -277,18 +289,19 @@ def _cmd_pluecker(args) -> int:
         "decomposable": decomposable,
     }
     if args.list_violations:
-        cutoff, rows = _violations(merged, *scan, tol)
-        lines.append(
-            f"relations above the scan's cutoff tol*||P||^2 = {cutoff:.3e} "
-            f"(the scan's own rule, not the verdict's): {len(rows)}"
-        )
-        for a, b, magnitude in rows:
-            lines.append(f"  {list(a)} / {list(b)}: {magnitude:.3e}")
+        cutoff, lower, upper, values = _violations(merged, *scan, tol)
+        rows = zip(lower.tolist(), upper.tolist(), values.tolist())
         payload["violation_cutoff"] = cutoff
-        payload["violations"] = [
-            {"fixed": list(a), "moving": list(b), "magnitude": magnitude}
-            for a, b, magnitude in rows
-        ]
+        if args.json:  # one row may be one of 6e5: build only what is printed
+            payload["violations"] = [
+                {"fixed": a, "moving": b, "magnitude": magnitude} for a, b, magnitude in rows
+            ]
+        else:
+            lines.append(
+                f"relations above the scan's cutoff tol*||P||^2 = {cutoff:.3e} "
+                f"(the scan's own rule, not the verdict's): {len(values)}"
+            )
+            lines += [f"  {a} / {b}: {magnitude:.3e}" for a, b, magnitude in rows]
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -358,11 +371,8 @@ def _cmd_rdm(args) -> int:
 
 def _parse_matrix_file(path) -> list[np.ndarray]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise _Failure(f"{path}: invalid JSON: {exc.msg}", EXIT_PARSE) from None
-    except OSError as exc:
+        payload = _json_payload(_json_text(path))
+    except (OSError, StateParseError) as exc:
         raise _Failure(f"{path}: {exc}", EXIT_PARSE) from None
     if isinstance(payload, dict):
         payload = payload.get("matrices")
@@ -412,12 +422,7 @@ def _parse_matrix_file(path) -> list[np.ndarray]:
 def _cmd_act(args) -> int:
     statefile = _load(args.file)
     matrices = _parse_matrix_file(args.matrix_file)
-    try:
-        moved = slocc_act(statefile.state, matrices, system=statefile.system)
-    except ShapeError as exc:
-        raise _Failure(str(exc), EXIT_SHAPE) from None
-    except ValueError as exc:
-        raise _Failure(str(exc), EXIT_SHAPE) from None
+    moved = slocc_act(statefile.state, matrices, system=statefile.system)
     text = dump_state_text(StateFile(statefile.system, moved))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -453,10 +458,7 @@ def _parse_shape_option(system: str, text):
 
 def _cmd_random(args) -> int:
     shape = _parse_shape_option(args.system, args.shape)
-    try:
-        state = random_state(args.system, args.seed, shape=shape)
-    except ShapeError as exc:
-        raise _Failure(str(exc), EXIT_SHAPE) from None
+    state = random_state(args.system, args.seed, shape=shape)
     text = dump_state_text(StateFile(args.system, state))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -653,18 +655,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
+    except _EXPECTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except StateParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return _exit_code(exc)
 
 
 def console_main() -> None:

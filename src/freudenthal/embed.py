@@ -195,7 +195,7 @@ class MultiState(_ArrayState):
 
     def _fill(self, shape: SystemShape, array: np.ndarray) -> "MultiState":
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_array", _store(array, 0.0))
+        object.__setattr__(self, "_array", _store(array))
         return self
 
     @classmethod
@@ -288,7 +288,7 @@ def merge_species(psi: MultiState) -> FermionState:
     shape = psi.shape
     array = np.zeros(math.comb(shape.total_modes, shape.total_particles), dtype=complex)
     array[_merge_index(shape)] = psi._array.reshape(-1)
-    return FermionState._wrap(shape.total_particles, shape.total_modes, array, 0.0)
+    return FermionState._wrap(shape.total_particles, shape.total_modes, array)
 
 
 def multistate_from_tensor(tensor: np.ndarray) -> MultiState:
@@ -389,6 +389,12 @@ def bipartitions(num_species: int) -> list[Cut]:
     """All proper two-block partitions of species 1..N, each as
     (smaller-or-lexicographically-first side, complement): 2^(N-1) - 1 of
     them, at most MAX_CUTS (ShapeError before any is built)."""
+    return list(_cut_list(num_species))
+
+
+@lru_cache(maxsize=None)
+def _cut_list(num_species: int) -> tuple[Cut, ...]:
+    """bipartitions(num_species) as a tuple, built once per species count."""
     count = 2 ** (num_species - 1) - 1
     if count > MAX_CUTS:
         raise ShapeError(
@@ -403,7 +409,7 @@ def bipartitions(num_species: int) -> list[Cut]:
             if len(left) == len(right) and left > right:
                 continue
             out.append((left, right))
-    return out
+    return tuple(out)
 
 
 def factors_across_cut(
@@ -466,7 +472,7 @@ def _species_plan(shape: SystemShape) -> _SpeciesPlan:
     k, n = shape.total_particles, shape.total_modes
     holes = n < 2 * k < 2 * n
     degrees = tuple(n_i - k_i if holes else k_i for k_i, n_i in shape.species)
-    cuts = tuple(bipartitions(shape.num_species))
+    cuts = _cut_list(shape.num_species)
     own: dict[Cut, int] = {}
     for cut in cuts:
         for side in cut:
@@ -628,7 +634,7 @@ def three_qubit_to_fermion(a: np.ndarray) -> FermionState:
     occupies mode p + 3s, so basis states map to wedge triples with
     parity folded into sorted keys."""
     dense = _signed_gather(_as_qubit_cube(a), _QUBIT3_FERMION_TABLE)
-    return FermionState._wrap(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense)
 
 
 def _check_weighted_norm(arr: np.ndarray, weights: np.ndarray, what: str) -> None:
@@ -673,7 +679,8 @@ def pack_antisymmetric_pair(d: np.ndarray) -> np.ndarray:
     """Canonical 2x6 form of qubit + fermion-pair amplitudes: columns are
     the ordered mode pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
     Accepts either that form or a full 2x4x4 array antisymmetric in the
-    pair indices (rejected if it is not)."""
+    pair indices: rejected when |d + d^T| exceeds 1e-12 times the largest
+    |d| anywhere, a test of degree 0."""
     d = np.asarray(d, dtype=complex)
     if d.shape == (2, 6):
         return d.copy()
@@ -681,8 +688,7 @@ def pack_antisymmetric_pair(d: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected a 2x6 or antisymmetric 2x4x4 array, got {d.shape}"
         )
-    scale = max(1.0, float(np.abs(d).max()))
-    if np.abs(d + d.transpose(0, 2, 1)).max() > 1e-12 * scale:
+    if np.abs(d + d.transpose(0, 2, 1)).max() > 1e-12 * np.abs(d).max():
         raise ValueError("pair amplitudes must be antisymmetric in the two "
                          "fermion indices")
     return d.reshape(2, 16)[:, _PAIR_FLAT]
@@ -707,7 +713,7 @@ def qubit_fermion4_to_fermion(d: np.ndarray) -> FermionState:
     """Three-fermion image of a qubit + fermion pair: qubit states go to
     modes 1 and 4, the four fermion modes to 2, 3, 5, 6."""
     dense = _signed_gather(pack_antisymmetric_pair(d), _QF4_FERMION_TABLE)
-    return FermionState._wrap(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense)
 
 
 # -- the subspace chain ----------------------------------------------------------

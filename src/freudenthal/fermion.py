@@ -27,8 +27,11 @@ arithmetic this module provides
     gather (``_signed_table``, ``_signed_gather``) from the amplitude
     array to the 20 coordinates, and its inverse.
 
-States are immutable; all functions are pure.  ``wedge`` and
-``apply_matrix`` set amplitudes of magnitude at most PRUNE_TOL to zero.
+States are immutable; all functions are pure.  The products ``wedge``,
+``wedge_of_vectors`` and ``apply_matrix`` run on their operands divided
+exactly by their powers of two (``triple._homogeneous``), set the
+amplitudes of magnitude at most PRUNE_TOL there to zero and scale the rest
+back: PRUNE_TOL is relative to those powers of two, not absolute.
 A state whose C(n, k) exceeds MAX_DIMENSION is not built, nor is an index
 table or relation array past MAX_TABLE_ENTRIES (ShapeError); only tables of
 at most MAX_DIMENSION entries stay cached between calls.
@@ -45,7 +48,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .jordan import AlgebraKind
-from .triple import FreudenthalVector, _binary_exponent, _ldexp
+from .triple import (
+    FreudenthalVector, _binary_exponent, _binary_scaled, _homogeneous, _times_power_of_two
+)
 
 __all__ = [
     "FermionState",
@@ -127,15 +132,21 @@ def _check_table(entries: int, what: str) -> None:
         )
 
 
-def _store(array: np.ndarray, cutoff: float) -> np.ndarray:
-    """A read-only copy of an amplitude array with the entries of magnitude
-    at most ``cutoff`` (and signed zeros) set to zero; every entry, dropped
-    or not, must be finite."""
+def _store(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of an amplitude array with signed zeros set to zero;
+    every entry must be finite."""
     if not np.isfinite(array).all():
         raise ValueError("non-finite amplitude")
-    array = np.where(np.abs(array) > cutoff, array, 0)
+    array = np.where(array != 0, array, 0)
     array.setflags(write=False)
     return array
+
+
+def _pruned(array: np.ndarray) -> np.ndarray:
+    """``array`` with the entries of magnitude at most PRUNE_TOL set to zero,
+    for a product of operands scaled by ``triple._homogeneous``; an entry
+    that is not finite stays, for ``_store`` to refuse."""
+    return np.where(np.abs(array) <= PRUNE_TOL, 0, array)
 
 
 def _norm(array: np.ndarray) -> float:
@@ -191,23 +202,21 @@ class FermionState(_ArrayState):
         array = np.zeros(_dimension(k, n), dtype=complex)
         for key, value in amplitudes.items():
             array[_key_position(key, k, n)] = complex(value)
-        self._fill(k, n, array, 0.0)
+        self._fill(k, n, array)
 
-    def _fill(self, k: int, n: int, array: np.ndarray, cutoff: float) -> "FermionState":
-        for name, value in (("k", k), ("n", n), ("_array", _store(array, cutoff))):
+    def _fill(self, k: int, n: int, array: np.ndarray) -> "FermionState":
+        for name, value in (("k", k), ("n", n), ("_array", _store(array))):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
-    def _wrap(
-        cls, k: int, n: int, array: np.ndarray, cutoff: float = PRUNE_TOL
-    ) -> "FermionState":
+    def _wrap(cls, k: int, n: int, array: np.ndarray) -> "FermionState":
         """The state with amplitude array ``array`` over the lex-ordered keys
         of a valid shape (k, n), stored by _store."""
-        return object.__new__(cls)._fill(k, n, array, cutoff)
+        return object.__new__(cls)._fill(k, n, array)
 
     def _like(self, array: np.ndarray) -> "FermionState":
-        return FermionState._wrap(self.k, self.n, array, 0.0)
+        return FermionState._wrap(self.k, self.n, array)
 
     @classmethod
     def from_terms(
@@ -345,13 +354,17 @@ def _key_position(key: Sequence[int], k: int, n: int) -> int:
 
 
 def wedge(u: FermionState, v: FermionState) -> FermionState:
-    """Exterior product; result lives in the (k_u + k_v)-th wedge power."""
+    """Exterior product; result lives in the (k_u + k_v)-th wedge power.
+    Pruned as the module docstring says, of degree 1 in each factor."""
     if u.n != v.n:
         raise ShapeError("operands have different mode counts")
     k = u.k + v.k
     if k > u.n:
         raise ShapeError(f"wedge degree {k} exceeds mode count {u.n}")
-    return FermionState._wrap(k, u.n, _wedge_arrays(u._array, u.k, v._array, v.k, u.n))
+    out = _homogeneous(
+        lambda a, b: _pruned(_wedge_arrays(a, u.k, b, v.k, u.n)), (u._array, v._array), (1, 1)
+    )
+    return FermionState._wrap(k, u.n, out)
 
 
 def _wedge_arrays(u: np.ndarray, j: int, v: np.ndarray, l: int, n: int) -> np.ndarray:
@@ -363,13 +376,16 @@ def _wedge_arrays(u: np.ndarray, j: int, v: np.ndarray, l: int, n: int) -> np.nd
 
 
 def wedge_of_vectors(vectors: np.ndarray) -> FermionState:
-    """v_1 ^ ... ^ v_k for the rows of a k x n array V: amplitude K is det V[:, K]."""
+    """v_1 ^ ... ^ v_k for the rows of a k x n array V: amplitude K is
+    det V[:, K].  Pruned as the module docstring says, of degree k in V."""
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim != 2:
         raise ShapeError("expected a k x n array of row vectors")
     k, n = vectors.shape
     _dimension(k, n)
-    minors = np.linalg.det(np.moveaxis(vectors[:, _combos(n, k)], 1, 0))
+    minors = _homogeneous(
+        lambda v: _pruned(np.linalg.det(np.moveaxis(v[:, _combos(n, k)], 1, 0))), (vectors,), (k,)
+    )
     return FermionState._wrap(k, n, minors)
 
 
@@ -409,7 +425,7 @@ def _witness(k: int, n: int, r: int) -> tuple[Key, Key]:
 
 def _relation_values(P: FermionState) -> tuple[np.ndarray, int]:
     """|relation (A, B)| for every index pair, flat in _witness's row order,
-    for P divided exactly by 2^e (triple._binary_exponent), and e: the
+    for P divided exactly by 2^e (triple._binary_scaled), and e: the
     magnitudes for P are 4^e times these.
 
     Relation (A, B) is +-((iota_A P) ^ P)_B, so the array is one product:
@@ -422,12 +438,11 @@ def _relation_values(P: FermionState) -> tuple[np.ndarray, int]:
         math.comb(n, k - 1) * math.comb(n, k + 1),
         f"the Plücker relation array at shape ({k}, {n})",
     )
-    e = _binary_exponent(P._array)
-    scaled = P._array / math.ldexp(1.0, e)
+    scaled = _binary_scaled(P._array)
     mode, rest, sign = _shuffle_table(1, k, n)
     wedged = np.zeros((n, len(mode)), dtype=complex)
     wedged[mode, np.arange(len(mode))[:, None]] = sign * scaled[rest]
-    return np.abs(_lift(scaled, k, n) @ wedged).ravel(), e
+    return np.abs(_lift(scaled, k, n) @ wedged).ravel(), _binary_exponent(P._array)
 
 
 def _worst_relation(
@@ -438,24 +453,27 @@ def _worst_relation(
     if not magnitudes.size:
         return 0.0, None
     r = int(np.argmax(magnitudes))
-    return _ldexp(float(magnitudes[r]), 2 * e), _witness(P.k, P.n, r)
+    return _times_power_of_two(float(magnitudes[r]), 2 * e), _witness(P.k, P.n, r)
 
 
 def _violations(
     P: FermionState, magnitudes: np.ndarray, e: int, tol: float
-) -> tuple[float, list[tuple[Key, Key, float]]]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The scan's own rule: a relation violates when |relation| > tol ||P||^2,
     compared in the units of _relation_values (P / 2^e).  Returns the cutoff
-    and the violations by decreasing magnitude, in P's units (inf past the
-    float range)."""
+    and the violations by decreasing magnitude as three arrays, one row per
+    violation: the 1-based (k-1)- and (k+1)-subsets of _witness and the
+    magnitudes.  The cutoff and the magnitudes are in P's units (inf past
+    the float range)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    cutoff = tol * _norm(P._array / math.ldexp(1.0, e)) ** 2
+    k, n = P.k, P.n
+    cutoff = tol * _norm(_binary_scaled(P._array)) ** 2
     rows = np.flatnonzero(magnitudes > cutoff)
     rows = rows[np.argsort(-magnitudes[rows], kind="stable")]
-    return _ldexp(cutoff, 2 * e), [
-        (*_witness(P.k, P.n, r), _ldexp(float(magnitudes[r]), 2 * e)) for r in rows
-    ]
+    values = _times_power_of_two(np.append(cutoff, magnitudes[rows]), 2 * e)
+    lower, upper = np.divmod(rows, math.comb(n, k + 1))
+    return float(values[0]), _combos(n, k - 1)[lower] + 1, _combos(n, k + 1)[upper] + 1, values[1:]
 
 
 def pluecker_scan(P: FermionState) -> tuple[float, tuple[Key, Key] | None]:
@@ -469,7 +487,8 @@ def pluecker_violations(
     """All index pairs whose |relation| exceeds tol * ||P||^2, sorted by
     decreasing magnitude.  This is the scan's own rule; the decomposability
     verdict is ``decomposability_ratio``'s."""
-    return _violations(P, *_relation_values(P), tol)[1]
+    _, lower, upper, values = _violations(P, *_relation_values(P), tol)
+    return list(zip(map(tuple, lower.tolist()), map(tuple, upper.tolist()), values.tolist()))
 
 
 def decomposability_ratio(P: FermionState, tol: float = DEFAULT_TOL) -> float:
@@ -511,9 +530,8 @@ def wedge_power_norm(P: FermionState) -> float:
     magnitude; it vanishes on W-type states and equals d! d^(-d/2) on the
     d-level GHZ images.  For k = 2 it is d! |Pf A| = d! sqrt|det A| for
     A[i, j] = P[i, j] = -A[j, i], in log space (inf past the float range);
-    for k >= 4, the top amplitude of the chain P ^ P ^ ... ^ P, run on P
-    divided exactly by 2^e (``triple._binary_exponent``) and scaled back by
-    2^(d e): inf past the float range, never nan.
+    for k >= 4, the top amplitude of the chain P ^ P ^ ... ^ P, of degree d
+    in P under ``triple._homogeneous``: inf past the float range, never nan.
     """
     if P.k % 2 != 0:
         raise ShapeError("wedge powers of odd-degree states anticommute to zero")
@@ -530,11 +548,14 @@ def wedge_power_norm(P: FermionState) -> float:
         max(math.comb(P.n, m * P.k) * math.comb(m * P.k, P.k) for m in range(2, d + 1)),
         f"the wedge power's index table at shape ({P.k}, {P.n})",
     )
-    e = _binary_exponent(P._array)
-    scaled = power = P._array / math.ldexp(1.0, e)
-    for m in range(1, d):  # power = scaled^(m + 1), pruned as ``wedge`` prunes
-        power = _store(_wedge_arrays(power, m * P.k, scaled, P.k, P.n), PRUNE_TOL)
-    return _ldexp(abs(complex(power[0])), d * e)  # the top form's one amplitude
+
+    def top(scaled):  # the one amplitude of scaled^d, pruned as ``wedge`` prunes
+        power = scaled
+        for m in range(1, d):
+            power = _pruned(_wedge_arrays(power, m * P.k, scaled, P.k, P.n))
+        return abs(complex(power[0]))
+
+    return _homogeneous(top, (P._array,), (d,))
 
 
 # -- Hitchin's invariant -------------------------------------------------------
@@ -663,7 +684,7 @@ def from_freudenthal(x: FreudenthalVector) -> FermionState:
     """Inverse of to_freudenthal, the inverse signed gather (the matrix
     slots are read over M_3(C))."""
     dense = _signed_gather(x.embed().coefficients(), _DENSE_TABLE)
-    return FermionState._wrap(3, 6, dense, cutoff=0.0)
+    return FermionState._wrap(3, 6, dense)
 
 
 # -- compound (SLOCC) action ---------------------------------------------------
@@ -700,5 +721,7 @@ def apply_matrix(P: FermionState, g: np.ndarray) -> FermionState:
         raise ShapeError(f"matrix must be {P.n} x {P.n}, got {g.shape}")
     if not np.all(np.isfinite(g.view(np.float64))):
         raise ValueError("non-finite matrix entry")
-    out = _compound_columns(g, P._array[:, None], P.k)[:, 0]
+    out = _homogeneous(
+        lambda p, h: _pruned(_compound_columns(h, p[:, None], P.k)[:, 0]), (P._array, g), (1, P.k)
+    )
     return FermionState._wrap(P.k, P.n, out)

@@ -255,12 +255,29 @@ def _parse_dense(spec: System, shape, amplitudes, text: str) -> np.ndarray:
 _PARSERS = {FermionState: _parse_fermion, MultiState: _parse_multi, np.ndarray: _parse_dense}
 
 
-def parse_state_text(text: str) -> StateFile:
-    """Parse a state file from its JSON text."""
+def _json_text(path) -> str:
+    """The text of the file at ``path``; StateParseError when it is not UTF-8."""
     try:
-        payload = json.loads(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise StateParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _json_payload(text: str):
+    """The JSON value of ``text``; StateParseError when it is not JSON or is
+    nested past the interpreter's recursion limit."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise StateParseError("invalid JSON: nested past the recursion limit") from None
+
+
+def parse_state_text(text: str) -> StateFile:
+    """Parse a state file from its JSON text."""
+    payload = _json_payload(text)
     if not isinstance(payload, dict):
         raise StateParseError("state file must be a JSON object")
     spec = lookup_system(payload.get("system"))
@@ -277,8 +294,7 @@ def parse_state_text(text: str) -> StateFile:
 
 
 def load_state_file(path) -> StateFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_state_text(handle.read())
+    return parse_state_text(_json_text(path))
 
 
 def _file_keys(spec: System) -> dict:

@@ -30,9 +30,14 @@ and 2 in the coordinates.  Each is expanded once per process from the closed
 forms above into a table of its monomials, over M_3(C) and restricted along
 the embedding for the smaller algebras, and every evaluation, on one vector
 or a stack, is one gather of the monomials' factors, their product and one
-contraction with the coefficients.  Quartic values are taken on the
-coordinates divided exactly by a power of two and scaled back, so they are
-0 or inf at the ends of the float range, never nan.
+contraction with the coefficients.
+
+One scale rule serves the whole package: a kernel reads each operand
+divided exactly by its own power of two (``_binary_scaled`` for tests of
+degree 0, ``_homogeneous`` for values, which it multiplies back), and
+compares against no absolute threshold.  Values are then 0 or inf at the
+ends of the float range, never nan, and every kernel is exactly equivariant
+under x -> 2^m x.
 
 Everything here is immutable and pure; a vector keeps its flat coordinate
 array once built, and the tables and the coordinate basis of each system
@@ -128,8 +133,7 @@ class FreudenthalVector:
     def norm(self) -> float:
         """Euclidean norm of the coordinates, taken on them exactly rescaled
         (inf past the float range)."""
-        e = _binary_exponent(self._coeffs)
-        return _ldexp(float(np.linalg.norm(self._coeffs / math.ldexp(1.0, e))), e)
+        return _homogeneous(lambda v: float(np.linalg.norm(v)), (self._coeffs,), (1,))
 
     def embed(self) -> "FreudenthalVector":
         """The same vector over M_3(C), via the Jordan subalgebra chain."""
@@ -378,7 +382,7 @@ def _tables(kind: AlgebraKind) -> tuple[_Table, _Table, _Table]:
 def _binary_exponent(arr: np.ndarray) -> int:
     """The e with the largest real or imaginary part of complex ``arr`` in
     [2^e, 2^(e+1)); -1 for a zero array."""
-    peak = float(np.abs(np.ascontiguousarray(arr).view(np.float64)).max())
+    peak = float(np.maximum.reduce(np.abs(np.ascontiguousarray(arr).view(np.float64)), axis=None))
     return math.frexp(peak)[1] - 1
 
 
@@ -389,25 +393,35 @@ def _binary_scaled(arr: np.ndarray) -> np.ndarray:
     return arr / math.ldexp(1.0, _binary_exponent(arr))  # a zero array stays zero
 
 
-def _ldexp(value: float, exp: int) -> float:
-    """value * 2^exp, exact in range, +-inf past it."""
+def _times_power_of_two(value, exp: int):
+    """``value`` times 2^exp, part by part for a complex number or an array
+    of floats or complex numbers: exact in range, +-inf past it, never nan."""
+    if isinstance(value, np.ndarray):
+        parts = np.ascontiguousarray(value).view(np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(parts, exp).view(value.dtype)
+    if isinstance(value, complex):
+        return complex(_times_power_of_two(value.real, exp), _times_power_of_two(value.imag, exp))
     try:
         return math.ldexp(value, exp)
     except OverflowError:
         return math.copysign(math.inf, value)
 
 
-def _exact_quartic(poly, arr: np.ndarray):
-    """``poly(arr)`` for a homogeneous polynomial ``poly`` of degree 4 in the
-    complex array ``arr``, real- or complex-valued.  It is evaluated on arr
-    divided exactly by 2^e (``_binary_scaled``) and multiplied back by
-    2^(4e): the same bits wherever ``poly(arr)`` runs in the normal range,
-    0 where the scaled value is 0, +-inf past the float range, never nan."""
-    e = _binary_exponent(arr)
-    value = poly(arr / math.ldexp(1.0, e))
-    if isinstance(value, complex):
-        return complex(_ldexp(value.real, 4 * e), _ldexp(value.imag, 4 * e))
-    return _ldexp(value, 4 * e)
+def _homogeneous(f, operands, degrees):
+    """``f(*operands)``, a number or an array, for ``f`` homogeneous of degree
+    degrees[i] in the array operands[i]: ``f`` runs on each operand divided
+    exactly by its own 2^e_i (``_binary_exponent``), and its value is
+    multiplied back by 2^(sum_i degrees[i] e_i) (``_times_power_of_two``).
+    At 2^m times an operand of degree d the result is 2^(d m) times the
+    result, bit for bit, wherever both are in the normal range; for ``f``
+    made of sums and products it has the bits of ``f(*operands)`` there."""
+    scaled, power = [], 0
+    for arr, degree in zip(operands, degrees):
+        e = _binary_exponent(arr)
+        scaled.append(arr / math.ldexp(1.0, e))
+        power += degree * e
+    return _times_power_of_two(f(*scaled), power)
 
 
 # -- the quartic and its polarization --------------------------------------------
@@ -416,7 +430,7 @@ def _exact_quartic(poly, arr: np.ndarray):
 def quartic_form(x: FreudenthalVector) -> complex:
     """q(x); its vanishing pattern drives the rank stratification."""
     table = _tables(x.kind)[0]
-    return _exact_quartic(lambda vec: _evaluate(table, vec), x.coefficients())
+    return _homogeneous(lambda vec: _evaluate(table, vec), (x.coefficients(),), (4,))
 
 
 def quartic_tangle(x: FreudenthalVector) -> complex:
@@ -426,9 +440,11 @@ def quartic_tangle(x: FreudenthalVector) -> complex:
 
     whose absolute value is the tripartite tangle (1 on canonical GHZ).
     Both normalizations are kept because classification thresholds use q
-    while reports use this one.
+    while reports use this one.  The factor 2 is taken in the scaled
+    evaluation, so past the float range the value is inf, not nan.
     """
-    return 2.0 * quartic_form(x)
+    table = _tables(x.kind)[0]
+    return _homogeneous(lambda vec: 2.0 * _evaluate(table, vec), (x.coefficients(),), (4,))
 
 
 # The 15 nonempty subsets of the four slots, one 0/1 row each, and the sign
@@ -450,9 +466,8 @@ def quartic_form_linearized(
     x._require(w)
     table = _tables(x.kind)[0]
     vecs = np.stack([v.coefficients() for v in (x, y, z, w)])
-    return _exact_quartic(
-        lambda v: complex(_SUBSET_SIGNS @ _evaluate(table, _SLOT_SUBSETS @ v)) / 24.0,
-        vecs,
+    return _homogeneous(
+        lambda v: complex(_SUBSET_SIGNS @ _evaluate(table, _SLOT_SUBSETS @ v)) / 24.0, (vecs,), (4,)
     )
 
 

@@ -772,3 +772,50 @@ class TestCliSelftestAndEntryPoint:
         )
         assert result.returncode == 0
         assert "GHZ (rank 4)" in result.stdout
+
+
+class TestCliBatchErrors:
+    """A file that fails is recorded and the batch goes on; every command
+    maps an exception to its exit code in one place."""
+
+    @staticmethod
+    def batch(tmp_path):
+        files = {
+            "a_good.json": (CORPUS / "qubit3_ghz.json").read_bytes(),
+            "b_zero.json": b'{"system": "qubit3", "amplitudes": []}',
+            "c_latin1.json": '{"system": "qubit3", "amplitudes": [], "note": "\xe9"}'.encode("latin-1"),
+            "d_nested.json": b"[" * 200000,
+            "e_good.json": (CORPUS / "qubit3_w.json").read_bytes(),
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        return sorted(files)
+
+    def test_batch_records_every_file(self, capsys, tmp_path):
+        names = self.batch(tmp_path)
+        code, out, _ = run_cli(capsys, "classify", "--batch", str(tmp_path), "--json")
+        records = json.loads(out)
+        assert [r["file"] for r in records] == names
+        assert code == 3  # the worst of 0, 3 (zero state), 2, 2 and 0
+        assert records[0]["name"] == "GHZ" and records[4]["name"] == "W"
+        for record in records[1:4]:
+            assert set(record) == {"file", "error"}
+        assert "zero state" in records[1]["error"]
+        assert "UTF-8" in records[2]["error"]
+        assert "nested" in records[3]["error"]
+        code_text, text, _ = run_cli(capsys, "classify", "--batch", str(tmp_path))
+        assert code_text == 3
+        assert [line.split(":")[0] for line in text.splitlines() if not line.startswith(" ")] == names
+
+    def test_unreadable_files_are_parse_errors(self, capsys, tmp_path):
+        self.batch(tmp_path)
+        for name in ("c_latin1.json", "d_nested.json"):
+            code, out, err = run_cli(capsys, "classify", str(tmp_path / name))
+            assert (code, out) == (2, ""), name
+            assert "Traceback" not in err
+            code, out, _ = run_cli(
+                capsys, "act", corpus_path("qubit3_ghz.json"), "-m", str(tmp_path / name)
+            )
+            assert (code, out) == (2, ""), name
+        code, _, err = run_cli(capsys, "classify", str(tmp_path / "b_zero.json"))
+        assert code == 3 and "zero state" in err
